@@ -1,7 +1,13 @@
 """Pure-Python kernels: weighted lattice-ball counts and Fricke trace trees.
 
-Mirrors _ckernels.pyx operation for operation (same arithmetic order, same
-libm calls) so both backends produce bit-identical results.
+Every function returns bit for bit what its twin in _ckernels.pyx returns.
+count_ball and trace_of_slope use the same arithmetic in the same order.
+The tree walks visit the same nodes with the same float traces, but
+count_multi evaluates floor(L / length) only near its thresholds: a trace
+safely inside the band where that floor is 1 adds 1 without an acosh, and
+every other trace is rechecked with the exact formula.  The one difference
+is an infinite or NaN radius, where the twin's walk never ends and the walks
+here raise ArithmeticError.
 """
 
 from __future__ import annotations
@@ -81,7 +87,9 @@ def count_ball(ws, ls, masks, L):
 # Pruning: once a child trace exceeds both parents, every deeper trace in
 # that subtree is larger still (the recursion gives t_child > t_parent
 # whenever the two frontier traces exceed the coparent), so a subtree is cut
-# when its child trace exceeds both parents and the target bound.
+# when its child trace exceeds both parents and the target bound.  The test
+# is made before a child is pushed, so a pruned child costs no stack entry;
+# the nodes visited are the same as when each popped node is tested.
 # ---------------------------------------------------------------------------
 
 
@@ -110,59 +118,116 @@ def trace_of_slope(x, y, z, p, q):
     return tm
 
 
-def _tree_walk(x, y, z, tmax, visit):
-    """DFS over both root triangles; visit(p, q, trace) for every slope with
-    trace <= tmax (roots 0/1 and 1/0 included)."""
-    if x <= tmax:
-        visit(0, 1, x)
-    if y <= tmax:
-        visit(1, 0, y)
-    for sign, zroot in ((1, z), (-1, x * y - z)):
-        # stack entries: (pl, ql, tl, pr, qr, tr, tco) for the edge whose
-        # mediant is next
-        stack = [(0, 1, x, 1, 0, y, zroot)]
+def _trace_bound(L):
+    """tmax = 2*cosh(L/2), the trace of a curve of length L.
+
+    A walk against an infinite or NaN bound prunes nothing and never ends,
+    so such a bound raises instead (a finite L too large for cosh raises
+    OverflowError from math.cosh itself).  With a bound that is not NaN,
+    `t <= tmax` and `not t > tmax` agree for every t but NaN, which the
+    walks below rely on when they test a child before pushing it."""
+    tmax = 2.0 * math.cosh(L / 2.0)
+    if not tmax < math.inf:
+        raise ArithmeticError("trace bound 2*cosh(L/2) is not finite at L=%r" % (L,))
+    return tmax
+
+
+# Relative width, in length, of the margin kept between the unit band of
+# count_multi and the traces of lengths L/2 and L.  Nodes inside the margin
+# take the exact floor(L / length) like every node outside the band.
+_BAND_MARGIN = 1e-6
+
+
+def _unit_band(L):
+    """Open trace interval (lo, hi) on which floor(L / (2*acosh(t/2))) is 1.
+
+    lo and hi are the traces of lengths L/2*(1 + m) and L*(1 - m).  Each is
+    accepted only if the formula evaluated at it leaves a relative slack of
+    1e-12 to the integers 2 and 1.  The exact quotient L/length(t) is
+    decreasing in t and the evaluated one is within a few ulp of it, so
+    every float t strictly between lo and hi evaluates to a quotient in
+    [1, 2), whose floor is 1.  When the check fails (L tiny, zero or
+    negative, where lo and hi round onto 2 or past each other) the band is
+    empty and every node takes the exact formula."""
+    lo = 2.0 * math.cosh(L / 4.0 * (1.0 + _BAND_MARGIN))
+    hi = 2.0 * math.cosh(L / 2.0 * (1.0 - _BAND_MARGIN))
+    if (
+        2.0 < lo < hi
+        and L / (2.0 * math.acosh(lo / 2.0)) <= 2.0 - 2e-12
+        and L / (2.0 * math.acosh(hi / 2.0)) >= 1.0 + 1e-12
+    ):
+        return lo, hi
+    return math.inf, -math.inf
+
+
+def _count_walk(x, y, z, L, tmax, lo, hi):
+    """Sum over slopes with trace <= tmax of floor(L / length), where every
+    trace t with lo < t < hi adds 1 without evaluating its length."""
+    acosh, floor = math.acosh, math.floor
+    n = 0
+    for t in (x, y):
+        if t <= tmax:
+            n += 1 if lo < t < hi else floor(L / (2.0 * acosh(t / 2.0)))
+    for zroot in (z, x * y - z):
+        if zroot > tmax and zroot > x and zroot > y:
+            continue
+        # (t_left, t_right, t_mediant) of surviving nodes not yet expanded;
+        # the walk descends into the left child and stacks the right one
+        stack = [(x, y, zroot)]
+        pop, push = stack.pop, stack.append
         while stack:
-            pl, ql, tl, pr, qr, tr, tm = stack.pop()
-            if tm > tmax and tm > tl and tm > tr:
-                continue
-            pm, qm = pl + pr, ql + qr
-            if tm <= tmax:
-                visit(sign * pm, qm, tm)
-            stack.append((pl, ql, tl, pm, qm, tm, tl * tm - tr))
-            stack.append((pm, qm, tm, pr, qr, tr, tm * tr - tl))
-    return None
+            tl, tr, tm = pop()
+            while True:
+                if tm <= tmax:
+                    if lo < tm < hi:
+                        n += 1
+                    else:
+                        n += floor(L / (2.0 * acosh(tm / 2.0)))
+                c = tm * tr - tl
+                if c <= tmax or not (c > tm and c > tr):
+                    push((tm, tr, c))
+                c = tl * tm - tr
+                if c <= tmax or not (c > tl and c > tm):
+                    tr, tm = tm, c
+                else:
+                    break
+    return n
 
 
 def slopes_upto(x, y, z, L):
     """All slopes with length <= L as (p, q, trace) triples, sorted by
     (trace, q, p)."""
-    tmax = 2.0 * math.cosh(L / 2.0)
-    out = []
-    _tree_walk(x, y, z, tmax, lambda p, q, t: out.append((p, q, t)))
+    tmax = _trace_bound(L)
+    out = [(p, q, t) for p, q, t in ((0, 1, x), (1, 0, y)) if t <= tmax]
+    for sign, zroot in ((1, z), (-1, x * y - z)):
+        if zroot > tmax and zroot > x and zroot > y:
+            continue
+        # entries: (pl, ql, tl, pr, qr, tr, tm) for the edge whose mediant,
+        # of trace tm, survived the pruning test
+        stack = [(0, 1, x, 1, 0, y, zroot)]
+        while stack:
+            pl, ql, tl, pr, qr, tr, tm = stack.pop()
+            pm, qm = pl + pr, ql + qr
+            if tm <= tmax:
+                out.append((sign * pm, qm, tm))
+            c = tl * tm - tr
+            if c <= tmax or not (c > tl and c > tm):
+                stack.append((pl, ql, tl, pm, qm, tm, c))
+            c = tm * tr - tl
+            if c <= tmax or not (c > tm and c > tr):
+                stack.append((pm, qm, tm, pr, qr, tr, c))
     out.sort(key=lambda s: (s[2], s[1], s[0]))
     return out
 
 
 def count_upto(x, y, z, L):
     """Number of slopes with length <= L."""
-    tmax = 2.0 * math.cosh(L / 2.0)
-    box = [0]
-
-    def visit(p, q, t):
-        box[0] += 1
-
-    _tree_walk(x, y, z, tmax, visit)
-    return box[0]
+    return _count_walk(x, y, z, L, _trace_bound(L), -math.inf, math.inf)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
     i.e. sum over slopes of floor(L / length)."""
-    tmax = 2.0 * math.cosh(L / 2.0)
-    box = [0]
-
-    def visit(p, q, t):
-        box[0] += math.floor(L / (2.0 * math.acosh(t / 2.0)))
-
-    _tree_walk(x, y, z, tmax, visit)
-    return box[0]
+    tmax = _trace_bound(L)
+    lo, hi = _unit_band(L)
+    return _count_walk(x, y, z, L, tmax, lo, hi)

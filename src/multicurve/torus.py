@@ -112,7 +112,14 @@ def fn_to_triple(X: TorusPoint) -> FrickeTriple:
 
 def slope_trace(X: TorusPoint, s: Slope) -> float:
     tr = fn_to_triple(X)
-    return _kernels.trace_of_slope(tr.x, tr.y, tr.z, s.p, s.q)
+    trace = _kernels.trace_of_slope(tr.x, tr.y, tr.z, s.p, s.q)
+    if not math.isfinite(trace):
+        # deep slopes (e.g. Fibonacci ones) overflow the trace recursion,
+        # which then turns inf - inf into NaN
+        raise ArithmeticError(
+            "trace of slope %s overflows at ell=%r tau=%r" % (s, X.ell, X.tau)
+        )
+    return trace
 
 
 def slope_length(X: TorusPoint, s: Slope) -> float:

@@ -1,4 +1,5 @@
-"""Bit-identical agreement between the compiled and pure-Python kernels."""
+"""Bit-identical agreement between the compiled and pure-Python kernels, and
+between the pure tree walks and a reference Fricke-tree walk kept here."""
 
 import math
 import random
@@ -17,6 +18,119 @@ except ImportError:
     _ckernels = None
 
 needs_c = pytest.mark.skipif(_ckernels is None, reason="compiled kernels absent")
+
+
+def _oracle_walk(x, y, z, tmax, visit):
+    # reference DFS: test each popped node, then push both children
+    if x <= tmax:
+        visit(0, 1, x)
+    if y <= tmax:
+        visit(1, 0, y)
+    for sign, zroot in ((1, z), (-1, x * y - z)):
+        stack = [(0, 1, x, 1, 0, y, zroot)]
+        while stack:
+            pl, ql, tl, pr, qr, tr, tm = stack.pop()
+            if tm > tmax and tm > tl and tm > tr:
+                continue
+            pm, qm = pl + pr, ql + qr
+            if tm <= tmax:
+                visit(sign * pm, qm, tm)
+            stack.append((pl, ql, tl, pm, qm, tm, tl * tm - tr))
+            stack.append((pm, qm, tm, pr, qr, tr, tm * tr - tl))
+
+
+def _oracle(x, y, z, L):
+    """(count_upto, count_multi, slopes_upto) by the reference walk, with
+    floor(L / (2*acosh(t/2))) evaluated at every slope."""
+    slopes = []
+    _oracle_walk(x, y, z, 2.0 * math.cosh(L / 2.0), lambda p, q, t: slopes.append((p, q, t)))
+    multi = sum(math.floor(L / (2.0 * math.acosh(t / 2.0))) for _, _, t in slopes)
+    slopes.sort(key=lambda s: (s[2], s[1], s[0]))
+    return len(slopes), multi, slopes
+
+
+def _assert_pure_walks_match(triple, radii):
+    for L in radii:
+        upto, multi, slopes = _oracle(*triple, L)
+        case = (triple, L)
+        assert _pykernels.count_upto(*triple, L) == upto, case
+        assert _pykernels.count_multi(*triple, L) == multi, case
+        assert _pykernels.slopes_upto(*triple, L) == slopes, case
+
+
+def _triple(X):
+    tr = fn_to_triple(X)
+    return tr.x, tr.y, tr.z
+
+
+def _tie_radii(X, cap):
+    # L = k * length for the three root slopes, and the floats either side:
+    # a slope there sits on the k-th threshold of count_multi
+    tr = fn_to_triple(X)
+    out = []
+    for t in (tr.x, tr.y, tr.z):
+        length = 2.0 * math.acosh(t / 2.0)
+        for k in (1, 2, 3, 7):
+            L = k * length
+            if L <= cap:
+                out += [math.nextafter(L, 0.0), L, math.nextafter(L, math.inf)]
+    return out
+
+
+RADII = (0.01, 0.2, 1.0, 2.5, 6.0, 15.0, 40.0, 120.0)
+
+
+def test_pure_walks_match_oracle_in_bers_box():
+    rng = random.Random(20261018)
+    points = [TorusPoint(1.3, 0.475), TorusPoint(2 * math.acosh(1.5), 0.0)]
+    for _ in range(8):
+        ell = rng.uniform(0.3, 1.93)
+        points.append(TorusPoint(ell, rng.uniform(-ell / 2, ell / 2)))
+    for X in points:
+        _assert_pure_walks_match(_triple(X), RADII + tuple(_tie_radii(X, 120.0)))
+
+
+def test_pure_walks_match_oracle_at_thin_points():
+    rng = random.Random(1018)
+    for ell in (1e-3, 4e-3, 0.02, 0.1):
+        X = TorusPoint(ell, rng.uniform(-ell / 2, ell / 2))
+        # thin points have deep walks: 59160 slopes shorter than 40 at ell = 1e-3
+        radii = [L for L in RADII if L <= 40.0 or ell >= 0.02]
+        _assert_pure_walks_match(_triple(X), radii + _tie_radii(X, 40.0))
+
+
+def test_pure_walks_match_oracle_at_twisted_triples():
+    # Far outside the Bers box the traces first fall along some paths below
+    # the root, so a child above tmax can still have counted descendants.
+    # The walks take any Fricke triple; swapping x and y puts the falling
+    # twist path on the other side of the tree.
+    radii = [0.25 * i for i in range(1, 49)]
+    for X in (TorusPoint(0.5, 2.2), TorusPoint(0.5, -2.2), TorusPoint(0.05, 0.33)):
+        x, y, z = _triple(X)
+        for triple in ((x, y, z), (y, x, z), (y, x, x * y - z)):
+            _assert_pure_walks_match(triple, radii)
+
+
+def test_count_multi_band_is_empty_where_it_cannot_be_proved():
+    # at tiny, zero or negative radii the band collapses and every slope
+    # takes the exact formula; the results still match the reference
+    tr = fn_to_triple(TorusPoint(1e-3, 0.0))
+    for L in (1e-9, 1e-6, 1e-4, 0.0, -0.5, -3.0):
+        assert _pykernels.count_multi(tr.x, tr.y, tr.z, L) == _oracle(tr.x, tr.y, tr.z, L)[1]
+    assert _pykernels._unit_band(1e-9) == (math.inf, -math.inf)
+    assert _pykernels._unit_band(-1.0) == (math.inf, -math.inf)
+    lo, hi = _pykernels._unit_band(10.0)
+    assert 2.0 * math.cosh(2.5) < lo < hi < 2.0 * math.cosh(5.0)
+
+
+def test_pure_walks_reject_unbounded_radius():
+    # an infinite or NaN trace bound prunes nothing, so the walk would not end
+    for L in (math.inf, math.nan):
+        for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
+            with pytest.raises(ArithmeticError, match="not finite"):
+                kernel(3.0, 3.0, 3.0, L)
+    with pytest.raises(OverflowError):
+        _pykernels.count_upto(3.0, 3.0, 3.0, 1500.0)
 
 
 def test_backend_identifies_itself():

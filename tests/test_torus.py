@@ -144,6 +144,15 @@ def test_slope_trace_recursion():
     assert t_21 == pytest.approx(t_11 * t_10 - t_01, rel=1e-13)
 
 
+def test_deep_slope_trace_overflow_raises():
+    # the recursion overflows to inf and then NaN along the Fibonacci slopes
+    X = TorusPoint(1.3, 0.475)
+    with pytest.raises(ArithmeticError, match="6765/10946"):
+        slope_trace(X, Slope(6765, 10946))
+    with pytest.raises(ArithmeticError, match="overflows"):
+        slope_length(X, Slope(6765, 10946))
+
+
 def test_slope_lengths_at_symmetric_point():
     # three slopes realize the systole 2·acosh(3/2)
     sys_len = 2 * math.acosh(1.5)
