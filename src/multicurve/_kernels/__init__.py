@@ -1,26 +1,13 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present; the pure-Python twin is a
-drop-in replacement producing bit-identical results.  Set
-MULTICURVE_BACKEND=pure or =c to force a choice (forcing "c" raises if the
-extension is missing).
+The compiled extension is used when it imports; otherwise the pure-Python
+twin, which returns the same results (_pykernels states where they differ).
 """
 
-import os
-
-_choice = os.environ.get("MULTICURVE_BACKEND", "")
-if _choice not in ("", "c", "pure"):
-    raise ImportError("MULTICURVE_BACKEND must be 'c' or 'pure', got %r" % _choice)
-
-if _choice == "pure":
+try:
+    from . import _ckernels as _impl  # type: ignore[attr-defined]
+except ImportError:
     from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _choice == "c":
-            raise
-        from . import _pykernels as _impl
 
 BACKEND = _impl.BACKEND
 count_ball = _impl.count_ball

@@ -1,13 +1,18 @@
-"""Pure-Python kernels: weighted lattice-ball counts and Fricke trace trees.
+"""Pure-Python kernels: weighted lattice-ball counts and walks, and Fricke
+trace trees.
 
-Every function returns bit for bit what its twin in _ckernels.pyx returns.
-count_ball and trace_of_slope use the same arithmetic in the same order.
-The tree walks visit the same nodes with the same float traces, but
-count_multi evaluates floor(L / length) only near its thresholds: a trace
-safely inside the band where that floor is 1 adds 1 without an acosh, and
-every other trace is rechecked with the exact formula.  The one difference
-is an infinite or NaN radius, where the twin's walk never ends and the walks
-here raise ArithmeticError.
+ball_m_vectors is the one walk over a lattice ball: count_ball counts the
+t-vectors of each m-vector in closed form, and dtlattice.enumerate_ball
+lists them with ball_t_vectors, by the one membership rule stated below.
+
+Every function returns bit for bit what its twin in _ckernels.pyx returns,
+except where a t-budget rounds below zero (the twin's _tcount adds -1 there,
+this one 0) and at an infinite or NaN radius (the twin's tree walks never
+end, these raise ArithmeticError).  count_ball and trace_of_slope use the
+same arithmetic in the same order.  The tree walks visit the same nodes with
+the same float traces, but count_multi evaluates floor(L / length) only near
+its thresholds: a trace safely inside the band where that floor is 1 adds 1
+without an acosh, and every other trace is rechecked with the exact formula.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ BACKEND = "pure"
 #
 # Points (m, t) with m_i >= 0 integers, t_i integers, t_i >= 0 where m_i = 0,
 # parity: for each region mask, sum of m_i over set bits must be even.
-# Count of nonzero points with sum(m_i w_i + |t_i| l_i) <= L.
+#
+# One membership rule serves counting and enumeration.  The m-cost
+# m_1 w_1 + ... + m_N w_N is summed left to right and must not exceed L.
+# The budget left, b = L - cost, is then spent cuff by cuff: |t_i| runs up to
+# floor(b / l_i) and leaves b - |t_i| l_i for the cuffs after i.  A budget
+# that rounding has pushed below zero admits no point.  count_ball counts
+# the nonzero points of this rule; ball_m_vectors and ball_t_vectors list
+# them, in lexicographic order of (m_1..m_N), then of (t_1..t_N).
 # ---------------------------------------------------------------------------
 
 
@@ -32,6 +44,9 @@ def _tcount(ls, zero_m, i, budget):
     if i == n:
         return 1
     k = math.floor(budget / ls[i])
+    if k < 0:
+        # budget - t*l for t = floor(budget/l) can round below zero
+        return 0
     if i == n - 1:
         return k + 1 if zero_m[i] else 2 * k + 1
     total = _tcount(ls, zero_m, i + 1, budget)  # t_i = 0
@@ -39,6 +54,24 @@ def _tcount(ls, zero_m, i, budget):
         sub = _tcount(ls, zero_m, i + 1, budget - t * ls[i])
         total += sub if zero_m[i] else 2 * sub
     return total
+
+
+def ball_t_vectors(ls, m, budget, i=0):
+    """The t_(i..N-1) tuples that _tcount counts for this m and budget, in
+    lexicographic order."""
+    if i == len(ls):  # no cuffs
+        yield ()
+        return
+    k = math.floor(budget / ls[i])
+    # for k < 0 the range is empty, as _tcount has it
+    ts = range(0 if m[i] == 0 else -k, k + 1)
+    if i == len(ls) - 1:
+        for t in ts:
+            yield (t,)
+        return
+    for t in ts:
+        for rest in ball_t_vectors(ls, m, budget - abs(t) * ls[i], i + 1):
+            yield (t,) + rest
 
 
 def _parity_ok(masks, m):
@@ -52,28 +85,37 @@ def _parity_ok(masks, m):
     return True
 
 
-def _mwalk(ws, ls, masks, L, i, cost, m):
-    n = len(ws)
-    if i == n:
-        if not _parity_ok(masks, m):
-            return 0
-        return _tcount(ls, [mi == 0 for mi in m], 0, L - cost)
-    total = 0
+def ball_m_vectors(ws, masks, L, i=0, cost=0.0, m=None):
+    """Parity-admissible m-vectors with m-cost <= L, as (m, L - cost) pairs
+    in lexicographic order.  The last cuff's loop yields directly, as a
+    generator per cuff down to each m-vector made count_ball slower."""
+    if m is None:
+        m = [0] * len(ws)
+    if i == len(m):  # no cuffs: the zero vector alone
+        yield (), L
+        return
+    w = ws[i]
     mi = 0
-    while cost + mi * ws[i] <= L:
-        m[i] = mi
-        total += _mwalk(ws, ls, masks, L, i + 1, cost + mi * ws[i], m)
-        mi += 1
-    m[i] = 0
-    return total
+    if i == len(m) - 1:
+        while cost + mi * w <= L:
+            m[i] = mi
+            if _parity_ok(masks, m):
+                yield tuple(m), L - (cost + mi * w)
+            mi += 1
+    else:
+        while cost + mi * w <= L:
+            m[i] = mi
+            yield from ball_m_vectors(ws, masks, L, i + 1, cost + mi * w, m)
+            mi += 1
 
 
 def count_ball(ws, ls, masks, L):
     """Lattice points in the weighted ball, zero excluded."""
     if L <= 0:
         return 0
-    n = len(ws)
-    total = _mwalk(list(ws), list(ls), list(masks), L, 0, 0.0, [0] * n)
+    total = 0
+    for m, budget in ball_m_vectors(ws, masks, L):
+        total += _tcount(ls, [mi == 0 for mi in m], 0, budget)
     return total - 1  # remove the zero point, always admissible and in the ball
 
 

@@ -522,7 +522,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         raise ConfigError(str(exc))
     sys.stdout.write(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
     return status
 

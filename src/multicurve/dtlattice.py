@@ -13,6 +13,13 @@ The combinatorial length against per-cuff weights (w_i, l_i) is
   sum_i m_i * w_i + |t_i| * l_i,
 a weighted L1 norm on the positive part; balls in it are what the Thurston
 measure layer counts.
+
+A ball has one membership rule, the one the kernels walk by: the m-cost
+sum m_i w_i is summed left to right and must not exceed L, and then each
+|t_i| l_i is taken in turn from the budget that is left.  enumerate_ball
+lists the points of that rule and count_ball counts them, so the two agree
+on every ball, ties on the boundary included.  (The compiled count_ball
+still differs where a twist budget rounds below zero; see _pykernels.)
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _kernels
+from ._kernels import _pykernels
 from .topology import PantsDecomposition
 
 
@@ -130,44 +138,22 @@ def comb_length(p, wts: CombWeights) -> float:
 def enumerate_ball(
     dec: PantsDecomposition, wts: CombWeights, L: float
 ) -> Iterator[DTPoint]:
-    """Nonzero semigroup points with combinatorial length <= L, in
-    lexicographic (m_1, t_1, m_2, t_2, ...) order.
+    """Nonzero semigroup points with combinatorial length <= L, by the
+    membership rule above, in lexicographic order of (m_1..m_N), then of
+    (t_1..t_N): exactly the count_ball(dec, wts, L) points.
 
-    When w_i > L no branch with m_i > 0 is ever opened (the m_i range is
-    empty beyond 0), so ultra-wide collars cost nothing.
+    When w_i > L no m-vector with m_i > 0 is ever visited, so ultra-wide
+    collars cost nothing.
     """
-    N = dec.surface.cuff_count
-    masks = parity_masks(dec)
-    ws, ls = wts.width, wts.length
-    m = [0] * N
-    t = [0] * N
-
-    def rec(i: int, budget: float):
-        if i == N:
-            point = DTPoint(tuple(m), tuple(t))
-            if not point.is_zero() and all(
-                sum(m[b] for b in range(N) if mask >> b & 1) % 2 == 0
-                for mask in masks
-            ):
-                yield point
-            return
-        mi = 0
-        while mi * ws[i] <= budget:
-            m[i] = mi
-            rem = budget - mi * ws[i]
-            lo = 0 if mi == 0 else -math.floor(rem / ls[i])
-            for ti in range(lo, math.floor(rem / ls[i]) + 1):
-                t[i] = ti
-                yield from rec(i + 1, rem - abs(ti) * ls[i])
-            t[i] = 0
-            mi += 1
-        m[i] = 0
-
-    if L > 0:
-        yield from rec(0, float(L))
+    if not L > 0:
+        return
+    for m, budget in _pykernels.ball_m_vectors(wts.width, parity_masks(dec), float(L)):
+        for t in _pykernels.ball_t_vectors(wts.length, m, budget):
+            if any(m) or any(t):
+                yield DTPoint(m, t)
 
 
 def count_ball(dec: PantsDecomposition, wts: CombWeights, L: float) -> int:
-    """Cardinality of enumerate_ball without materializing the stream; the
-    innermost twist range is counted in closed form."""
+    """Cardinality of enumerate_ball without materializing the stream: the
+    twist vectors of each m-vector are counted in closed form."""
     return _kernels.count_ball(wts.width, wts.length, parity_masks(dec), float(L))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 
 def collar_width(x: float) -> float:
     if x <= 0:
@@ -38,28 +36,14 @@ def h_weight(x: float) -> float:
 
 
 def h_max(lo: float, hi: float) -> float:
-    """Maximum of H on [lo, hi] to relative tolerance 1e-9.
+    """Maximum of H on [lo, hi].
 
-    H is strictly convex-looking on its domain with a single interior
-    minimum, so the maximum sits at an endpoint; the scan below does not
-    assume that and also probes the interior.
+    H decreases and then increases on (0, inf), with its one minimum near
+    x = 1.7626, so its maximum on an interval sits at an endpoint.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi, got [%r, %r]" % (lo, hi))
-    best = max(h_weight(lo), h_weight(hi))
-    # guard against an interior max: coarse grid + bounded local polish
-    step = (hi - lo) / 64
-    grid = [lo + step * k for k in range(1, 64)]
-    xs = max(grid, key=h_weight)
-    res = minimize_scalar(
-        lambda x: -h_weight(x),
-        bounds=(max(lo, xs - step), min(hi, xs + step)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if res.success:
-        best = max(best, -res.fun)
-    return best
+    return max(h_weight(lo), h_weight(hi))
 
 
 @dataclass(frozen=True)

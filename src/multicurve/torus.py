@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .runpar import ordered_map
-from .wpcells import MCResult
+from .wpcells import MCResult, mc_result
 
 BERS_11 = 2 * math.acosh(1.5)  # maximal systole; attained at the square torus
 SYMMETRY_FACTOR = 1  # calibrated against the volume table, see config
@@ -252,12 +252,4 @@ def mc_moduli(
         return w * value
 
     values = ordered_map(weighted, points, threads=threads)
-    vol = bers**2 / 2.0
-    mean = math.fsum(values) / samples
-    var = math.fsum((v - mean) ** 2 for v in values) / (samples - 1)
-    return MCResult(
-        estimate=vol * mean,
-        stderr=vol * math.sqrt(var / samples),
-        samples=samples,
-        seed=seed,
-    )
+    return mc_result(values, bers**2 / 2.0, seed)

@@ -59,6 +59,20 @@ class MCResult:
             raise ValueError("stderr must be nonnegative")
 
 
+def mc_result(values, volume: float, seed: int) -> MCResult:
+    """Monte Carlo summary of per-sample values over a region of the given
+    volume: estimate = volume × sample mean, stderr = volume × std/√count."""
+    count = len(values)
+    mean = math.fsum(values) / count
+    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    return MCResult(
+        estimate=volume * mean,
+        stderr=volume * math.sqrt(var / count),
+        samples=count,
+        seed=seed,
+    )
+
+
 def cell_volume(spec: CellSpec) -> float:
     thin = (spec.eps**2 - spec.thin_floor**2) / 2
     thick = (spec.bers_bound**2 - spec.eps**2) / 2
@@ -133,15 +147,7 @@ def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int, threads: int =
                 "functional returned %r at lengths=%s twists=%s"
                 % (value, point.lengths, point.twists)
             )
-    vol = cell_volume(spec)
-    mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
-    return MCResult(
-        estimate=vol * mean,
-        stderr=vol * math.sqrt(var / count),
-        samples=count,
-        seed=seed,
-    )
+    return mc_result(values, cell_volume(spec), seed)
 
 
 def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
@@ -177,10 +183,7 @@ def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
     # weight = R(l)^power · l · 1/q(l) = l^{2-power} · s^{1.5-power} · z
     w = np.exp((power - 2.0) * s) * s ** (1.5 - power) * z
     vals = w.prod(axis=1) * thick**spec.thick_count
-    mean = math.fsum(vals) / count
-    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
-    return MCResult(estimate=mean, stderr=math.sqrt(var / count),
-                    samples=count, seed=seed)
+    return mc_result(vals, 1.0, seed)
 
 
 def sample_pants_gluing(surface: SurfaceType, L: float, count: int, seed: int):

@@ -274,3 +274,12 @@ def test_verify_report_artifact(capsys, tmp_path):
     text = path.read_text()
     assert "[PASS] determinism" in text
     assert capsys.readouterr().out  # also printed to stdout
+
+
+def test_verify_report_file_is_stdout_bytes(capsys, tmp_path):
+    # the report holds non-ASCII text such as "P(L,q·γ)"
+    path = tmp_path / "report.txt"
+    assert cli.main(["verify", "--only", "frequency-exactness", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "γ" in out
+    assert path.read_bytes() == out.encode("utf-8")

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from multicurve.config import RunConfig
 from multicurve.hypfun import (
     Constants,
     FNPoint,
@@ -112,6 +113,23 @@ def test_h_max_interior_maximum():
     lo, hi = 0.9, 20.0
     grid = max(h_weight(lo + (hi - lo) * k / 100000) for k in range(100001))
     assert h_max(lo, hi) == pytest.approx(grid, rel=1e-9)
+
+
+def test_h_turns_once_so_h_max_is_the_endpoint_maximum():
+    # on a geometric grid over [1e-9, 60] H only falls and then only rises,
+    # turning once, at its minimum near 1.7626
+    xs = [1e-9 * (60 / 1e-9) ** (k / 200000) for k in range(200001)]
+    hs = [h_weight(x) for x in xs]
+    rising = [b > a for a, b in zip(hs, hs[1:]) if b != a]
+    turns = [i for i in range(1, len(rising)) if rising[i] != rising[i - 1]]
+    assert len(turns) == 1 and not rising[0]
+    assert xs[hs.index(min(hs))] == pytest.approx(1.7626, abs=1e-3)
+    # so no interior point of a configured [epsilon, bers] beats its ends
+    cfg = RunConfig()
+    for bers in cfg.bers_bounds.values():
+        lo, hi = cfg.epsilon, bers
+        grid = max(h_weight(lo + (hi - lo) * k / 20000) for k in range(20000))
+        assert h_max(lo, hi) == max(h_weight(lo), h_weight(hi)) >= grid
 
 
 def test_h_max_domain():
