@@ -63,6 +63,8 @@ def _parse_floats(text: str, what: str) -> list:
         raise ConfigError("%s must be comma-separated numbers, got %r" % (what, text))
     if not vals:
         raise ConfigError("%s is empty" % what)
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError("%s must be finite numbers, got %r" % (what, text))
     return vals
 
 
@@ -93,8 +95,8 @@ def _parse_rational(text: str, what: str) -> Fraction:
 def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
     surf, dec = builtin_surface(args.surface)
     wts = _parse_weights(args.weights, surf.cuff_count)
-    if args.length <= 0:
-        raise ConfigError("--length must be positive")
+    if not 0 < args.length < math.inf:
+        raise ConfigError("--length must be positive and finite")
     rows = []
     for p in dtlattice.enumerate_ball(dec, wts, args.length):
         rows.append(p.m + p.t + (dtlattice.comb_length(p, wts),))
@@ -414,8 +416,8 @@ def _torus_point(args) -> torus.TorusPoint:
 
 def cmd_torus_count(cfg: RunConfig, args) -> int:
     X = _torus_point(args)
-    if args.length <= 0:
-        raise ConfigError("--length must be positive")
+    if not 0 < args.length < math.inf:
+        raise ConfigError("--length must be positive and finite")
     L = args.length
     simple = torus.count_s(X, 1, L)
     multi = torus.count_b(X, L)
@@ -436,8 +438,8 @@ def cmd_torus_count(cfg: RunConfig, args) -> int:
 
 def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
     X = _torus_point(args)
-    if args.length <= 0:
-        raise ConfigError("--length must be positive")
+    if not 0 < args.length < math.inf:
+        raise ConfigError("--length must be positive and finite")
     spectrum = torus.enumerate_short_slopes(X, args.length)
     doc = {
         "ell": X.ell,
@@ -474,7 +476,7 @@ def _parse_functional_torus(text: str, cfg: RunConfig):
             L = float(parts[1])
         except ValueError:
             raise ConfigError("ss functional is ss:<k1>,<k2>:<L>, got %r" % text)
-        if k1 < 1 or k2 < 1 or L <= 0:
+        if k1 < 1 or k2 < 1 or not 0 < L < math.inf:
             raise ConfigError("ss functional needs positive weights and length")
         return lambda X: torus.count_s(X, k1, L) * torus.count_s(X, k2, L) / L**4
     raise ConfigError(

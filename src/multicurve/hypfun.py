@@ -46,10 +46,20 @@ def h_max(lo: float, hi: float) -> float:
     return max(h_weight(lo), h_weight(hi))
 
 
+_LENGTHS_MSG = "cuff lengths must be strictly positive and finite"
+_CHUNK = 1024  # rows of draws read as Python floats at a time
+
+
 @dataclass(frozen=True)
 class FNPoint:
     """Fenchel-Nielsen coordinates: cuff lengths and twists along a fixed
-    pants decomposition."""
+    pants decomposition.
+
+    A point built by the constructor checks its own lengths.  Points built
+    from arrays of Monte Carlo draws go through from_draws, which checks the
+    whole length array once and then builds every row without a per-point
+    check; either way a point holds tuples of Python floats.
+    """
 
     lengths: tuple
     twists: tuple
@@ -61,7 +71,35 @@ class FNPoint:
             raise ValueError("need one twist per cuff")
         ok = all(0 < v < math.inf for v in self.lengths)
         if not ok:
-            raise ValueError("cuff lengths must be strictly positive and finite")
+            raise ValueError(_LENGTHS_MSG)
+
+    @classmethod
+    def from_draws(cls, ells, taus):
+        """Iterator of points, one per row of the (count, N) numpy float
+        arrays of lengths and twists.
+
+        The batch is validated here, once, by the constructor's rule (every
+        length strictly positive and finite, NaN rejected) and with its
+        ValueError; rows are then read as Python floats in bounded chunks
+        and not checked again.
+        """
+        if ells.shape != taus.shape:
+            raise ValueError("need one twist per cuff")
+        if not ((ells > 0) & (ells < math.inf)).all():
+            raise ValueError(_LENGTHS_MSG)
+        return cls._rows(ells, taus)
+
+    @classmethod
+    def _rows(cls, ells, taus):
+        new = object.__new__
+        for lo in range(0, len(ells), _CHUNK):
+            for lengths, twists in zip(ells[lo : lo + _CHUNK].tolist(),
+                                       taus[lo : lo + _CHUNK].tolist()):
+                point = new(cls)
+                fields = point.__dict__
+                fields["lengths"] = tuple(lengths)
+                fields["twists"] = tuple(twists)
+                yield point
 
 
 def thin_cuffs(fn, eps: float) -> set[int]:

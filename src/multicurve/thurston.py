@@ -33,8 +33,8 @@ def comb_ball_measure(surface: SurfaceType, wts: CombWeights) -> float:
 
 
 def lattice_ball_estimate(dec: PantsDecomposition, wts: CombWeights, L: float) -> float:
-    if L <= 0:
-        raise ValueError("ball radius must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError("ball radius must be positive and finite, got %r" % (L,))
     N = dec.surface.cuff_count
     return dtlattice.count_ball(dec, wts, L) / L ** (2 * N)
 

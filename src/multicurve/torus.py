@@ -238,7 +238,7 @@ def mc_moduli(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     ells, taus = sample_bers_box(samples, seed, bers)
-    points = [TorusPoint(ells[i], taus[i]) for i in range(samples)]
+    points = [TorusPoint(ell, tau) for ell, tau in zip(ells.tolist(), taus.tolist())]
 
     def weighted(X: TorusPoint) -> float:
         w = _systole_weight(X, symmetry_factor, bers)

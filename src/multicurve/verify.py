@@ -155,14 +155,14 @@ def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = 1e-1):
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _THIN_STREAM]))
     ells = np.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random(count))
     taus = ells * rng.random(count)
-    return [torus.TorusPoint(float(l), float(t)) for l, t in zip(ells, taus)]
+    return [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
 
 
 def check_sandwich(cfg: RunConfig) -> CheckResult:
     """Calibrated two-sided bound C1·F <= Bhat <= C2·F, zero violations."""
     eps = cfg.epsilon
     ells, taus = torus.sample_bers_box(cfg.budgets.sandwich_box, cfg.seed)
-    pts = [torus.TorusPoint(float(l), float(t)) for l, t in zip(ells, taus)]
+    pts = [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
     pts += _thin_points(cfg.budgets.sandwich_thin, cfg.seed)
     lo_ratio, hi_ratio, violations = math.inf, 0.0, 0
     for X in pts:
@@ -199,8 +199,8 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
     chat = khat / 2.0
     ells, taus = torus.sample_bers_box(cfg.budgets.ratio_points, cfg.seed + 3)
     worst = 0.0
-    for l, t in zip(ells, taus):
-        X = torus.TorusPoint(float(l), float(t))
+    for l, t in zip(ells.tolist(), taus.tolist()):
+        X = torus.TorusPoint(l, t)
         ratio = (torus.count_s(X, 1, L) / L**2) * bhat / (chat * torus.b_hat(X, lmax))
         worst = max(worst, abs(ratio - 1.0))
     elapsed = time.monotonic() - t0
@@ -227,8 +227,8 @@ def check_uniform_bound(cfg: RunConfig) -> CheckResult:
     ells, taus = torus.sample_bers_box(cfg.budgets.bound_points, cfg.seed + 4)
     explicit_viol = scaling_viol = 0
     worst_frac = 0.0
-    for l, t in zip(ells, taus):
-        X = torus.TorusPoint(float(l), float(t))
+    for l, t in zip(ells.tolist(), taus.tolist()):
+        X = torus.TorusPoint(l, t)
         fn = FNPoint((X.ell,), (X.tau,))
         # sup-fit of the k=1 normalized count over every radius used below
         cX = max(

@@ -12,10 +12,15 @@ cuff.  Exact values:
 (with 1/log(0) read as 0), where F is the product of 1/(l·|log l|) over thin
 cuffs.  These are chart integrals: they over-count moduli-space integrals;
 genuine moduli averages come from the torus backend's fundamental domain.
+
+Draws are made as numpy arrays and reach the code that uses them as Python
+floats: each batch of lengths is validated once (FNPoint.from_draws), not
+point by point, and mc_result reads numpy arrays in bounded chunks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,12 +64,24 @@ class MCResult:
             raise ValueError("stderr must be nonnegative")
 
 
+_CHUNK = 1024  # elements of a numpy array read as Python floats at a time
+
+
+def _floats(values):
+    """The values as Python floats; a numpy array is read in bounded chunks."""
+    if not isinstance(values, np.ndarray):
+        return values
+    return itertools.chain.from_iterable(
+        values[lo : lo + _CHUNK].tolist() for lo in range(0, len(values), _CHUNK)
+    )
+
+
 def mc_result(values, volume: float, seed: int) -> MCResult:
     """Monte Carlo summary of per-sample values over a region of the given
     volume: estimate = volume × sample mean, stderr = volume × std/√count."""
     count = len(values)
-    mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    mean = math.fsum(_floats(values)) / count
+    var = math.fsum((v - mean) ** 2 for v in _floats(values)) / (count - 1)
     return MCResult(
         estimate=volume * mean,
         stderr=volume * math.sqrt(var / count),
@@ -125,9 +142,7 @@ def sample_cell(spec: CellSpec, count: int, seed: int):
     deterministic for a given seed."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    ells, taus = _draw_cell(spec, count, seed)
-    for i in range(count):
-        yield FNPoint(tuple(ells[i]), tuple(taus[i]))
+    yield from FNPoint.from_draws(*_draw_cell(spec, count, seed))
 
 
 def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int, threads: int = 1) -> MCResult:
@@ -138,8 +153,7 @@ def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int, threads: int =
     """
     if count < 2:
         raise ValueError("need at least 2 samples for an error estimate")
-    ells, taus = _draw_cell(spec, count, seed)
-    points = [FNPoint(tuple(ells[i]), tuple(taus[i])) for i in range(count)]
+    points = list(FNPoint.from_draws(*_draw_cell(spec, count, seed)))
     values = ordered_map(fn_of_fn, points, threads=threads)
     for point, value in zip(points, values):
         if not math.isfinite(value):
@@ -199,5 +213,4 @@ def sample_pants_gluing(surface: SurfaceType, L: float, count: int, seed: int):
     gammas = np.maximum(gammas, np.finfo(float).tiny)
     ells = L * gammas[:, :N] / gammas.sum(axis=1, keepdims=True)
     taus = ells * rng.random((count, N))
-    for i in range(count):
-        yield FNPoint(tuple(ells[i]), tuple(taus[i]))
+    yield from FNPoint.from_draws(ells, taus)

@@ -230,6 +230,23 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_non_finite_numbers_exit_2(capsys):
+    # NaN and inf used to pass: measure ball printed NaN (not JSON) and
+    # dt enumerate listed no points, both with exit 0
+    for bad in ("nan", "inf", "-inf"):
+        # --opt=value: argparse would read a bare "-inf" as an option
+        assert cli.main(["measure", "ball", "--lengths=10," + bad]) == 2
+        assert cli.main(["measure", "ball", "--weights=%s,1" % bad, "--lengths", "10"]) == 2
+        assert cli.main(["bounds", "eval", "--lengths", "0.5", "--twists=" + bad]) == 2
+        assert cli.main(["dt", "enumerate", "--length=" + bad]) == 2
+        assert cli.main(["torus", "count", "--ell", "1.0", "--tau", "0", "--length=" + bad]) == 2
+        assert cli.main(["torus", "spectrum", "--ell", "1.0", "--tau", "0", "--length=" + bad]) == 2
+        assert cli.main(["torus", "mc", "--functional", "ss:1,1:" + bad, "--samples", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_missing_volume_table_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     d = RunConfig().to_dict()

@@ -21,6 +21,7 @@ from multicurve.dtlattice import (
     scale,
     twist,
 )
+from multicurve.thurston import lattice_ball_estimate
 from multicurve.topology import builtin_surface
 
 
@@ -199,6 +200,23 @@ def test_empty_and_monotone():
     counts = [count_ball(dec, wts, L) for L in (2.0, 4.0, 8.0, 16.0)]
     assert counts == sorted(counts)
     assert counts[0] > 0
+
+
+def test_non_finite_radius_raises():
+    # a NaN radius used to count -1 points and an infinite one to leak
+    # OverflowError; radii <= 0 keep their empty ball
+    _, dec = builtin_surface("S12")
+    wts = CombWeights((0.75, 1.5), (1.25, 0.5))
+    for L in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            count_ball(dec, wts, L)
+        with pytest.raises(ValueError, match="finite"):
+            list(enumerate_ball(dec, wts, L))
+        with pytest.raises(ValueError, match="finite"):
+            lattice_ball_estimate(dec, wts, L)
+    for L in (0.0, -1.0):
+        assert count_ball(dec, wts, L) == 0
+        assert list(enumerate_ball(dec, wts, L)) == []
 
 
 def test_count_growth_rate_is_degree_2n():

@@ -316,3 +316,18 @@ def test_mc_moduli_threads_and_validation():
         mc_moduli(lambda X: 1.0, 1, SEED)
     with pytest.raises(ArithmeticError, match="ell="):
         mc_moduli(lambda X: math.inf, 100, SEED)
+
+
+def test_mc_moduli_functionals_see_python_floats():
+    # the box draws reach functionals as plain floats, so an error message
+    # shows ell=1.65..., not ell=np.float64(1.65...)
+    seen = []
+    mc_moduli(lambda X: seen.append((type(X.ell), type(X.tau))) or 1.0, 200, SEED)
+    assert seen and set(seen) == {(float, float)}
+    with pytest.raises(ArithmeticError) as info:
+        mc_moduli(lambda X: math.inf, 100, SEED)
+    message = str(info.value)
+    assert "np." not in message and "float64" not in message
+    ell = float(message.split("ell=")[1].split()[0])
+    tau = float(message.split("tau=")[1])
+    assert 0 < ell <= BERS_11 and 0 <= tau < ell

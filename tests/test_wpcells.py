@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from multicurve import torus, wpcells
 from multicurve.hypfun import FNPoint
 from multicurve.topology import builtin_surface
 from multicurve.wpcells import (
@@ -16,6 +17,7 @@ from multicurve.wpcells import (
     f_on_cell,
     f_power_mc,
     mc_integrate,
+    mc_result,
     sample_cell,
     sample_pants_gluing,
 )
@@ -259,3 +261,159 @@ def test_sample_pants_gluing_validation_and_determinism():
         next(sample_pants_gluing(S12, 0.0, 5, SEED))
     with pytest.raises(ValueError):
         next(sample_pants_gluing(S12, 3.0, 0, SEED))
+
+
+# --- the sampling layer against the per-row construction it replaced ------
+#
+# The references below read the same draws one numpy row (or scalar) at a
+# time, as the sampling layer did before it validated each batch once and
+# read draws with tolist(); results must agree bit for bit.
+
+
+def ref_mc_result(values, volume, seed):
+    count = len(values)
+    mean = math.fsum(values) / count
+    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    return MCResult(volume * mean, volume * math.sqrt(var / count), count, seed)
+
+
+def ref_points(ells, taus):
+    return [FNPoint(tuple(ells[i]), tuple(taus[i])) for i in range(len(ells))]
+
+
+def ref_pants_draws(surface, L, count, seed):
+    rng = wpcells._rng(seed, 0x917E)
+    N = surface.cuff_count
+    gammas = np.maximum(rng.standard_exponential((count, N + 1)), np.finfo(float).tiny)
+    ells = L * gammas[:, :N] / gammas.sum(axis=1, keepdims=True)
+    return ells, ells * rng.random((count, N))
+
+
+def ref_mc_integrate(f, spec, count, seed):
+    points = ref_points(*wpcells._draw_cell(spec, count, seed))
+    return ref_mc_result([f(p) for p in points], cell_volume(spec), seed)
+
+
+def ref_mc_moduli(functional, samples, seed):
+    ells, taus = torus.sample_bers_box(samples, seed)
+    values = []
+    for i in range(samples):
+        X = torus.TorusPoint(ells[i], taus[i])
+        w = torus._systole_weight(X, torus.SYMMETRY_FACTOR, torus.BERS_11)
+        values.append(0.0 if w == 0.0 else w * functional(X))
+    return ref_mc_result(values, torus.BERS_11**2 / 2.0, seed)
+
+
+def result_bits(r):
+    return (r.estimate.hex(), r.stderr.hex(), r.samples, r.seed)
+
+
+def point_bits(points):
+    out = []
+    for p in points:
+        assert all(type(v) is float for v in p.lengths + p.twists)
+        out.append((tuple(v.hex() for v in p.lengths), tuple(v.hex() for v in p.twists)))
+    return out
+
+
+CELLS = [
+    CellSpec(S11, 1, thin_floor=1e-3),
+    CellSpec(S11, 0),
+    CellSpec(S12, 1),
+    CellSpec(S20, 2, thin_floor=1e-2),
+]
+
+
+@pytest.mark.parametrize("spec", CELLS)
+def test_sample_cell_is_the_per_row_construction(spec):
+    # 3000 rows cross chunk boundaries of the batch reader
+    for count, seed in ((1, SEED), (300, SEED + 1), (3000, 981)):
+        ref = ref_points(*wpcells._draw_cell(spec, count, seed))
+        assert point_bits(sample_cell(spec, count, seed)) == point_bits(ref)
+
+
+@pytest.mark.parametrize("surface", [S11, S12, S20])
+def test_sample_pants_gluing_is_the_per_row_construction(surface):
+    for count, seed in ((1, SEED), (3000, 982)):
+        ref = ref_points(*ref_pants_draws(surface, 3.0, count, seed))
+        assert point_bits(sample_pants_gluing(surface, 3.0, count, seed)) == point_bits(ref)
+
+
+@pytest.mark.parametrize("spec", CELLS)
+def test_mc_integrate_is_the_per_row_construction(spec):
+    seen = set()
+
+    def f(fn):
+        seen.update(map(type, fn.lengths + fn.twists))
+        return f_on_cell(spec, fn) ** 2 + sum(fn.twists) * fn.lengths[-1]
+
+    for count, seed in ((2, SEED), (4000, 981)):
+        ref = ref_mc_integrate(f, spec, count, seed)
+        assert result_bits(mc_integrate(f, spec, count, seed)) == result_bits(ref)
+    assert seen == {float}
+
+
+@pytest.mark.parametrize("power, floor", [(2.0, 0.0), (2.0, 1e-3), (2.5, 1e-4)])
+def test_f_power_mc_is_the_per_scalar_summary(monkeypatch, power, floor):
+    captured = []
+
+    def capture(values, volume, seed):
+        captured.append(values)
+        return mc_result(values, volume, seed)
+
+    monkeypatch.setattr(wpcells, "mc_result", capture)
+    spec = CellSpec(S11, 1, thin_floor=floor)
+    for count, seed in ((2, SEED), (20_000, 981), (100_000, 982)):
+        res = f_power_mc(spec, power, count, seed)
+        vals = captured.pop()
+        assert isinstance(vals, np.ndarray) and len(vals) == count
+        assert result_bits(res) == result_bits(ref_mc_result(vals, 1.0, seed))
+
+
+def test_mc_result_reads_arrays_and_lists_alike():
+    rng = np.random.default_rng(SEED)
+    chunk = wpcells._CHUNK
+    for n in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 100_000):
+        vals = rng.pareto(1.5, n)  # heavy tail: squares round in many ways
+        ref = result_bits(ref_mc_result(vals, 0.7, SEED))
+        assert result_bits(mc_result(vals, 0.7, SEED)) == ref
+        assert result_bits(mc_result(vals.tolist(), 0.7, SEED)) == ref
+    # one exact sum across chunks: 2^53 + (chunk - 1) rounds to 2^53 + chunk,
+    # so sums rounded chunk by chunk would be off by one here
+    vals = np.ones(chunk + 1)
+    vals[0], vals[-1] = 2.0**53, -(2.0**53)
+    assert result_bits(mc_result(vals, 1.0, SEED)) == result_bits(ref_mc_result(vals, 1.0, SEED))
+    assert mc_result(vals, chunk + 1.0, SEED).estimate == chunk - 1.0
+
+
+@pytest.mark.parametrize("seed", [SEED, 981, 982])
+def test_mc_moduli_is_the_per_row_construction(seed):
+    functionals = (
+        lambda X: X.ell ** 2.5 + 3.0 * X.tau,
+        lambda X: torus.count_s(X, 1, 8.0) / X.ell,
+    )
+    for functional in functionals:
+        ref = ref_mc_moduli(functional, 200, seed)
+        assert result_bits(torus.mc_moduli(functional, 200, seed)) == result_bits(ref)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+def test_from_draws_rejects_lengths_like_the_constructor(bad):
+    ells = np.full((3, 2), 0.5)
+    ells[1, 1] = bad
+    taus = np.zeros((3, 2))
+    with pytest.raises(ValueError) as single:
+        FNPoint((0.5, bad), (0.0, 0.0))
+    with pytest.raises(ValueError) as batch:
+        FNPoint.from_draws(ells, taus)
+    assert str(batch.value) == str(single.value)
+
+
+def test_from_draws_points_equal_constructed_points():
+    ells = np.array([[0.5, 1.5], [0.25, 2.0]])
+    taus = np.array([[0.1, -0.2], [0.0, 1.0]])
+    points = list(FNPoint.from_draws(ells, taus))
+    assert points == ref_points(ells, taus)
+    assert {hash(p) for p in points} == {hash(p) for p in ref_points(ells, taus)}
+    with pytest.raises(ValueError, match="one twist per cuff"):
+        FNPoint.from_draws(ells, taus[:, :1])
