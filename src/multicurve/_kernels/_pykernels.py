@@ -5,13 +5,9 @@ ball_m_vectors is the one walk over a lattice ball: count_ball counts the
 t-vectors of each m-vector in closed form, and dtlattice.enumerate_ball
 lists them with ball_t_vectors, by the one membership rule stated below.
 
-Every function returns bit for bit what its twin in _ckernels.pyx returns,
-except where a t-budget rounds below zero (the twin's _tcount adds -1 there,
-this one 0) and at an infinite or NaN radius (the twin's tree walks never
-end, these raise ArithmeticError).  count_ball and trace_of_slope use the
-same arithmetic in the same order.  The tree walks visit the same nodes with
-the same float traces, but count_multi evaluates floor(L / length) only near
-its thresholds: a trace safely inside the band where that floor is 1 adds 1
+The tree walks raise ArithmeticError at an infinite or NaN radius, which
+would prune nothing.  count_multi evaluates floor(L / length) only near its
+thresholds: a trace safely inside the band where that floor is 1 adds 1
 without an acosh, and every other trace is rechecked with the exact formula.
 """
 

@@ -23,6 +23,7 @@ arguments, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -196,13 +197,7 @@ def cmd_bounds_eval(cfg: RunConfig, args) -> int:
     if args.epsilon is not None:
         if not (0 < args.epsilon < 1):
             raise ConfigError("--epsilon must lie in (0, 1)")
-        consts = bounds_mod.Constants(
-            epsilon=args.epsilon,
-            bers_bound=consts.bers_bound,
-            comparison_c=consts.comparison_c,
-            c1=consts.c1,
-            c2=consts.c2,
-        )
+        consts = dataclasses.replace(consts, epsilon=args.epsilon)
     try:
         fn = FNPoint(tuple(lengths), tuple(twists))
         report = bounds_mod.bound_report(surf, fn, consts)

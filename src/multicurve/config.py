@@ -10,11 +10,10 @@ verification suite meets its stated runtime bounds on a small desktop.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 
-from .hypfun import Constants
+from .hypfun import TORUS_MAX_SYSTOLE, Constants
 
 
 class ConfigError(ValueError):
@@ -22,7 +21,7 @@ class ConfigError(ValueError):
 
 
 _DEFAULT_BERS = {
-    "S11": 2 * math.acosh(1.5),  # sharp: maximal systole of the (1,1) torus
+    "S11": TORUS_MAX_SYSTOLE,  # sharp: maximal systole of the (1,1) torus
     "S04": 4.0,  # conservative, configured
     "S12": 6.0,  # conservative, configured
     "S20": 8.0,  # conservative, configured

@@ -18,8 +18,7 @@ A ball has one membership rule, the one the kernels walk by: the m-cost
 sum m_i w_i is summed left to right and must not exceed L, and then each
 |t_i| l_i is taken in turn from the budget that is left.  enumerate_ball
 lists the points of that rule and count_ball counts them, so the two agree
-on every ball, ties on the boundary included.  (The compiled count_ball
-still differs where a twist budget rounds below zero; see _pykernels.)
+on every ball, ties on the boundary included.
 """
 
 from __future__ import annotations

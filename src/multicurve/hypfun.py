@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# maximal systole of the once-punctured torus, 2 arccosh(3/2), attained at the
+# square torus: the sharp Bers bound there
+TORUS_MAX_SYSTOLE = 2 * math.acosh(1.5)
+
 
 def collar_width(x: float) -> float:
     if x <= 0:
@@ -121,7 +125,7 @@ class Constants:
     """
 
     epsilon: float = 0.1
-    bers_bound: float = 2 * math.acosh(1.5)  # sharp for the once-punctured torus
+    bers_bound: float = TORUS_MAX_SYSTOLE  # sharp for the once-punctured torus
     comparison_c: float = 4.0  # calibrated; see config provenance
     c1: float = 0.25  # calibrated sandwich lower constant
     c2: float = 2.25  # calibrated sandwich upper constant

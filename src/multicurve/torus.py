@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .hypfun import TORUS_MAX_SYSTOLE
 from .runpar import ordered_map
 from .wpcells import MCResult, mc_result
 
-BERS_11 = 2 * math.acosh(1.5)  # maximal systole; attained at the square torus
+BERS_11 = TORUS_MAX_SYSTOLE
 SYMMETRY_FACTOR = 1  # calibrated against the volume table, see config
 LENGTH_TIE_TOL = 1e-9
 

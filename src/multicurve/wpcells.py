@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypfun import FNPoint, r_weight
+from .hypfun import TORUS_MAX_SYSTOLE, FNPoint, r_weight
 from .runpar import ordered_map
 from .topology import SurfaceType
 
@@ -36,7 +36,7 @@ class CellSpec:
     surface: SurfaceType
     thin_count: int  # k: number of thin cuffs (the first k indices)
     eps: float = 0.1
-    bers_bound: float = 2 * math.acosh(1.5)
+    bers_bound: float = TORUS_MAX_SYSTOLE
     thin_floor: float = 0.0  # > 0 only for divergence-witness floors
 
     def __post_init__(self):

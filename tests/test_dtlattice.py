@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multicurve import _kernels
 from multicurve.dtlattice import (
     CombWeights,
     DTPoint,
@@ -261,14 +260,6 @@ def test_density_of_semigroup_in_boxes():
 
 # --- one membership rule for enumeration and counting -------------------
 
-# The compiled count_ball still counts -1 points at a leaf whose twist
-# budget rounded below zero; enumeration and the pure count find none there.
-compiled_negative_leaf = pytest.mark.xfail(
-    _kernels.BACKEND == "c",
-    reason="compiled _tcount counts -1 at a twist budget rounded below zero",
-)
-
-
 def _ball_points(name, ws, ls, L):
     _, dec = builtin_surface(name)
     wts = CombWeights(ws, ls)
@@ -284,10 +275,7 @@ def _ball_points(name, ws, ls, L):
         ("S20", (0.3, 0.7, 2.0), (1.5, 1.3, 2.0), 7.0, 1080),
         # t_1 = floor(b / l_1) leaves b - t_1 l_1 < 0 by rounding; that leaf
         # holds no point (counting it as -1 gave 184)
-        pytest.param(
-            "S12", (1.0, 0.4), (0.1, 0.75), 1.0 + 0.75 + 0.75, 185,
-            marks=compiled_negative_leaf,
-        ),
+        ("S12", (1.0, 0.4), (0.1, 0.75), 1.0 + 0.75 + 0.75, 185),
     ],
 )
 def test_boundary_ties_enumerate_what_is_counted(name, ws, ls, L, expected):
@@ -323,7 +311,6 @@ def tie_prone_balls(draw):
     return name, ws, ls, L
 
 
-@compiled_negative_leaf
 @settings(max_examples=150, deadline=None)
 @given(tie_prone_balls())
 def test_enumeration_has_count_ball_points(ball):
