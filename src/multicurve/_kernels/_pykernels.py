@@ -5,10 +5,21 @@ ball_m_vectors is the one walk over a lattice ball: count_ball counts the
 t-vectors of each m-vector in closed form, and dtlattice.enumerate_ball
 lists them with ball_t_vectors, by the one membership rule stated below.
 
-The tree walks raise ArithmeticError at an infinite or NaN radius, which
-would prune nothing.  count_multi evaluates floor(L / length) only near its
-thresholds: a trace safely inside the band where that floor is 1 adds 1
-without an acosh, and every other trace is rechecked with the exact formula.
+At a NaN or infinite radius the lattice-ball kernels raise ValueError and
+the tree walks raise ArithmeticError: such a ball never ends, and such a
+trace bound would prune nothing.
+
+count_upto and count_multi share one walk in two phases.  Phase 1 applies
+the pruning rule from the roots until an edge's mediant exceeds both its
+ends; below such an edge every trace the walk meets is <= the bound, so
+phase 2 tests a child against the bound alone and closes each node whose
+subtree is two spines (a fixed end, and s' = t*s - s_prev) in two tight
+loops.  Float rounding is monotone, so a spine from ends >= 2 never
+decreases and the nodes it skips are exactly those the rule would prune;
+_count_walk gives the argument.  count_multi evaluates floor(L / length)
+only near its thresholds: a trace safely inside the band where that floor
+is 1 adds 1, one inside the band where it is 2 adds 2, both without an
+acosh, and every other trace takes the exact formula.
 """
 
 from __future__ import annotations
@@ -81,12 +92,18 @@ def _parity_ok(masks, m):
     return True
 
 
-def ball_m_vectors(ws, masks, L, i=0, cost=0.0, m=None):
+def ball_m_vectors(ws, masks, L):
     """Parity-admissible m-vectors with m-cost <= L, as (m, L - cost) pairs
-    in lexicographic order.  The last cuff's loop yields directly, as a
-    generator per cuff down to each m-vector made count_ball slower."""
-    if m is None:
-        m = [0] * len(ws)
+    in lexicographic order.  A NaN or infinite L raises ValueError here, at
+    the call, not at the first item: an infinite one would never end."""
+    if not math.isfinite(L):
+        raise ValueError("ball radius must be finite, got %r" % (L,))
+    return _m_vectors(ws, masks, L, 0, 0.0, [0] * len(ws))
+
+
+def _m_vectors(ws, masks, L, i, cost, m):
+    # the last cuff's loop yields directly, as a generator per cuff down to
+    # each m-vector made count_ball slower
     if i == len(m):  # no cuffs: the zero vector alone
         yield (), L
         return
@@ -101,16 +118,18 @@ def ball_m_vectors(ws, masks, L, i=0, cost=0.0, m=None):
     else:
         while cost + mi * w <= L:
             m[i] = mi
-            yield from ball_m_vectors(ws, masks, L, i + 1, cost + mi * w, m)
+            yield from _m_vectors(ws, masks, L, i + 1, cost + mi * w, m)
             mi += 1
 
 
 def count_ball(ws, ls, masks, L):
-    """Lattice points in the weighted ball, zero excluded."""
+    """Lattice points in the weighted ball, zero excluded: 0 for L <= 0,
+    ValueError for a NaN or infinite L."""
+    m_vectors = ball_m_vectors(ws, masks, L)
     if L <= 0:
         return 0
     total = 0
-    for m, budget in ball_m_vectors(ws, masks, L):
+    for m, budget in m_vectors:
         total += _tcount(ls, [mi == 0 for mi in m], 0, budget)
     return total - 1  # remove the zero point, always admissible and in the ball
 
@@ -170,55 +189,93 @@ def _trace_bound(L):
     return tmax
 
 
-# Relative width, in length, of the margin kept between the unit band of
-# count_multi and the traces of lengths L/2 and L.  Nodes inside the margin
-# take the exact floor(L / length) like every node outside the band.
+# Relative width, in length, of the margin kept between each band of
+# count_multi and the traces of the lengths that bound it.  Nodes inside a
+# margin take the exact floor(L / length) like every node outside the bands.
 _BAND_MARGIN = 1e-6
 
+_NO_BAND = (math.inf, -math.inf)
 
-def _unit_band(L):
-    """Open trace interval (lo, hi) on which floor(L / (2*acosh(t/2))) is 1.
 
-    lo and hi are the traces of lengths L/2*(1 + m) and L*(1 - m).  Each is
-    accepted only if the formula evaluated at it leaves a relative slack of
-    1e-12 to the integers 2 and 1.  The exact quotient L/length(t) is
-    decreasing in t and the evaluated one is within a few ulp of it, so
-    every float t strictly between lo and hi evaluates to a quotient in
-    [1, 2), whose floor is 1.  When the check fails (L tiny, zero or
-    negative, where lo and hi round onto 2 or past each other) the band is
-    empty and every node takes the exact formula."""
-    lo = 2.0 * math.cosh(L / 4.0 * (1.0 + _BAND_MARGIN))
-    hi = 2.0 * math.cosh(L / 2.0 * (1.0 - _BAND_MARGIN))
+def _band(L, k):
+    """Open trace interval (lo, hi) on which floor(L / (2*acosh(t/2))) is k.
+
+    lo and hi are the traces of lengths L/(k+1)*(1 + m) and L/k*(1 - m).
+    Each is accepted only if the formula evaluated at it leaves a relative
+    slack of 1e-12 to the integers k+1 and k.  The exact quotient
+    L/length(t) is decreasing in t and the evaluated one is within a few
+    ulp of it, so every float t strictly between lo and hi evaluates to a
+    quotient in [k, k+1), whose floor is k.  When the check fails (L tiny,
+    zero or negative, where lo and hi round onto 2 or past each other) the
+    band is empty and every node takes the exact formula."""
+    lo = 2.0 * math.cosh(L / (2.0 * (k + 1)) * (1.0 + _BAND_MARGIN))
+    hi = 2.0 * math.cosh(L / (2.0 * k) * (1.0 - _BAND_MARGIN))
     if (
         2.0 < lo < hi
-        and L / (2.0 * math.acosh(lo / 2.0)) <= 2.0 - 2e-12
-        and L / (2.0 * math.acosh(hi / 2.0)) >= 1.0 + 1e-12
+        and L / (2.0 * math.acosh(lo / 2.0)) <= (k + 1) * (1.0 - 1e-12)
+        and L / (2.0 * math.acosh(hi / 2.0)) >= k * (1.0 + 1e-12)
     ):
         return lo, hi
-    return math.inf, -math.inf
+    return _NO_BAND
 
 
-def _count_walk(x, y, z, L, tmax, lo, hi):
-    """Sum over slopes with trace <= tmax of floor(L / length), where every
-    trace t with lo < t < hi adds 1 without evaluating its length."""
+def _count_walk(x, y, z, L, tmax, band1, band2):
+    """Sum over slopes with trace <= tmax of floor(L / length), where a
+    trace strictly inside band1 adds 1 and one strictly inside band2 adds 2
+    without evaluating its length.
+
+    Phase 1 walks from the roots with the kernels' pruning rule until an
+    edge's mediant exceeds both its ends.  That edge was visited, so all
+    three of its traces are <= tmax, and it goes to the phase-2 stack.  In
+    its subtree every visited node keeps both ends <= tmax, so a child c
+    above tmax is above both its ends: the rule reduces to c <= tmax, and
+    every node visited is counted.
+
+    Phase 2 also closes spine pairs.  Take a node (tl, tr, tm) with tm above
+    gate = max(lo1, sqrt(tmax)), both ends >= 2 and below tm, and both cross
+    grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and cr)
+    above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
+    down the left from (s_prev, s) = (tr, tm), and s' = s*tr - s_prev down
+    the right from (tl, tm).  Float rounding is monotone, so from
+    s_prev <= s and a fixed trace t >= 2 it follows that
+    fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
+    decrease, each cross child further down is at least the first one and
+    is pruned as the walk would prune it, and each spine stops at its first
+    trace above tmax.  Spine traces are above lo1, so they take the band-1
+    test s < hi1 alone.  The gate only spares the test at nodes that seldom
+    pass it; exactness rests on the other conditions."""
     acosh, floor = math.acosh, math.floor
+    lo, hi = band1
+    lo2, hi2 = band2
     n = 0
     for t in (x, y):
         if t <= tmax:
-            n += 1 if lo < t < hi else floor(L / (2.0 * acosh(t / 2.0)))
+            if lo < t < hi:
+                n += 1
+            elif lo2 < t < hi2:
+                n += 2
+            else:
+                n += floor(L / (2.0 * acosh(t / 2.0)))
+    # (t_left, t_right, t_mediant) of visited phase-2 nodes not yet expanded
+    grow = []
     for zroot in (z, x * y - z):
         if zroot > tmax and zroot > x and zroot > y:
             continue
-        # (t_left, t_right, t_mediant) of surviving nodes not yet expanded;
-        # the walk descends into the left child and stacks the right one
+        # phase 1: the walk descends into the left child and stacks the
+        # right one
         stack = [(x, y, zroot)]
         pop, push = stack.pop, stack.append
         while stack:
             tl, tr, tm = pop()
             while True:
+                if tm > tl and tm > tr:
+                    grow.append((tl, tr, tm))
+                    break
                 if tm <= tmax:
                     if lo < tm < hi:
                         n += 1
+                    elif lo2 < tm < hi2:
+                        n += 2
                     else:
                         n += floor(L / (2.0 * acosh(tm / 2.0)))
                 c = tm * tr - tl
@@ -229,6 +286,41 @@ def _count_walk(x, y, z, L, tmax, lo, hi):
                     tr, tm = tm, c
                 else:
                     break
+    gate = max(lo, math.sqrt(tmax))
+    pop, push = grow.pop, grow.append
+    while grow:
+        tl, tr, tm = pop()
+        while True:
+            if tm > lo:
+                n += 1 if tm < hi else floor(L / (2.0 * acosh(tm / 2.0)))
+            elif lo2 < tm < hi2:
+                n += 2
+            else:
+                n += floor(L / (2.0 * acosh(tm / 2.0)))
+            cr = tm * tr - tl
+            cl = tl * tm - tr
+            if (
+                tm > gate
+                and 2.0 <= tl < tm
+                and 2.0 <= tr < tm
+                and cl * tm - tl > tmax
+                and tm * cr - tr > tmax
+            ):
+                a, s = tm, cl
+                while s <= tmax:
+                    n += 1 if s < hi else floor(L / (2.0 * acosh(s / 2.0)))
+                    a, s = s, tl * s - a
+                a, s = tm, cr
+                while s <= tmax:
+                    n += 1 if s < hi else floor(L / (2.0 * acosh(s / 2.0)))
+                    a, s = s, s * tr - a
+                break
+            if cr <= tmax:
+                push((tm, tr, cr))
+            if cl <= tmax:
+                tr, tm = tm, cl
+            else:
+                break
     return n
 
 
@@ -260,12 +352,11 @@ def slopes_upto(x, y, z, L):
 
 def count_upto(x, y, z, L):
     """Number of slopes with length <= L."""
-    return _count_walk(x, y, z, L, _trace_bound(L), -math.inf, math.inf)
+    return _count_walk(x, y, z, L, _trace_bound(L), (-math.inf, math.inf), _NO_BAND)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
     i.e. sum over slopes of floor(L / length)."""
     tmax = _trace_bound(L)
-    lo, hi = _unit_band(L)
-    return _count_walk(x, y, z, L, tmax, lo, hi)
+    return _count_walk(x, y, z, L, tmax, _band(L, 1), _band(L, 2))

@@ -145,23 +145,14 @@ def enumerate_ball(
     collars cost nothing.  A radius L <= 0 gives no points; a NaN or
     infinite one raises ValueError.
     """
-    _check_radius(L)
-    if L <= 0:
-        return
     for m, budget in _pykernels.ball_m_vectors(wts.width, parity_masks(dec), float(L)):
         for t in _pykernels.ball_t_vectors(wts.length, m, budget):
             if any(m) or any(t):
                 yield DTPoint(m, t)
 
 
-def _check_radius(L: float) -> None:
-    if not math.isfinite(L):
-        raise ValueError("ball radius must be finite, got %r" % (L,))
-
-
 def count_ball(dec: PantsDecomposition, wts: CombWeights, L: float) -> int:
     """Cardinality of enumerate_ball without materializing the stream: the
     twist vectors of each m-vector are counted in closed form (0 for
     L <= 0; a NaN or infinite L raises ValueError)."""
-    _check_radius(L)
     return _kernels.count_ball(wts.width, wts.length, parity_masks(dec), float(L))

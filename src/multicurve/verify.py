@@ -230,15 +230,14 @@ def check_uniform_bound(cfg: RunConfig) -> CheckResult:
     for l, t in zip(ells.tolist(), taus.tolist()):
         X = torus.TorusPoint(l, t)
         fn = FNPoint((X.ell,), (X.tau,))
+        # count_s(X, k, L) walks count_upto(L / k), which is count_s(X, 1, L / k)
+        counts = {(L, k): torus.count_s(X, k, L) for L in lengths for k in range(1, kmax + 1)}
         # sup-fit of the k=1 normalized count over every radius used below
-        cX = max(
-            torus.count_s(X, 1, L / k) / (L / k) ** 2
-            for L in lengths for k in range(1, kmax + 1)
-        )
+        cX = max(c / (L / k) ** 2 for (L, k), c in counts.items())
         for L in lengths:
             upper = bounds.count_upper(surf, fn, L, consts)
             for k in range(1, kmax + 1):
-                val = torus.count_s(X, k, L) / L**2
+                val = counts[L, k] / L**2
                 if val > upper:
                     explicit_viol += 1
                 if val > cX / k**2 + 1e-12:
@@ -317,16 +316,15 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
 
     # (ii) kappa stability and the b integral
     L = cfg.budgets.ratio_L
-    khats = []
-    for LL in (L, 2 * L):
-        est = torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6,
-                              symmetry_factor=sf, threads=th).estimate
-        khats.append(est / (LL * LL / 2.0))
+    counts = {
+        LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6,
+                            symmetry_factor=sf, threads=th)
+        for LL in (L, 2 * L)
+    }
+    khats = [counts[LL].estimate / (LL * LL / 2.0) for LL in (L, 2 * L)]
     k_stab = abs(khats[1] - khats[0]) / khats[0]
-    snapped = frequencies.calibrate_kappa(
-        cut, [1], table,
-        lambda LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6,
-                                   symmetry_factor=sf, threads=th), L)
+    # the oracle's run at L is the one made for khats[0]
+    snapped = frequencies.calibrate_kappa(cut, [1], table, lambda LL: counts[LL], L)
     b_target = float(frequencies.b_closed_form_s11(kappa))
     bhat = torus.mc_moduli(lambda X: torus.b_hat(X, cfg.budgets.bhat_lmax), n,
                            cfg.seed + 7, symmetry_factor=sf, threads=th).estimate

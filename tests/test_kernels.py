@@ -103,16 +103,100 @@ def test_pure_walks_match_oracle_at_twisted_triples():
             _assert_pure_walks_match(triple, radii)
 
 
+def _first_crossing_radii(X):
+    # just past the shortest root slope that crosses the base curve's
+    # collar: few slopes, but spines whose fixed end is the base trace
+    tr = fn_to_triple(X)
+    length = 2.0 * math.acosh(min(tr.y, tr.z) / 2.0)
+    return [length + d for d in (1e-4, 1e-3, 1e-2)]
+
+
+def test_pure_walks_match_oracle_where_the_base_trace_is_nearly_2():
+    # x = 2*cosh(ell/2) lies within 3e-9 of 2 here, and the spine loops lean
+    # on both ends of a spine root being >= 2
+    rng = random.Random(1105)
+    for ell in (1e-4, 1e-5):
+        for tau in (0.0, rng.uniform(-ell / 2, ell / 2), rng.uniform(-ell / 2, ell / 2)):
+            X = TorusPoint(ell, tau)
+            assert fn_to_triple(X).x - 2.0 < 3e-9
+            radii = [0.01, 0.5, 2.0, 10.0, 20.0] + _first_crossing_radii(X)
+            _assert_pure_walks_match(_triple(X), radii + _tie_radii(X, 20.0))
+
+
+def _sweep_triples(rng):
+    # Bers-box draws, thin points down to ell = 1e-3, and twisted triples
+    # far outside the box, with x and y swapped as well
+    out = []
+    for _ in range(150):
+        ell = 1.93 * math.sqrt(1.0 - rng.random())
+        out.append(("box", _triple(TorusPoint(ell, ell * rng.random()))))
+    for _ in range(60):
+        ell = 10 ** rng.uniform(-3.0, -1.0)
+        out.append(("thin", _triple(TorusPoint(ell, rng.uniform(-ell / 2, ell / 2)))))
+    for _ in range(15):
+        ell = rng.uniform(0.05, 1.0)
+        x, y, z = _triple(TorusPoint(ell, rng.uniform(-3.0, 3.0)))
+        out += [("twisted", (x, y, z)), ("twisted", (y, x, z)), ("twisted", (y, x, x * y - z))]
+    return out
+
+
+def test_pure_walks_match_oracle_on_a_seeded_sweep():
+    # 2,550 reference walks, each against count_upto and count_multi: 5,100
+    # kernel calls at log-uniform radii
+    rng = random.Random(20261018)
+    top = {"box": 80.0, "thin": 25.0, "twisted": 12.0}
+    calls = 0
+    for kind, triple in _sweep_triples(rng):
+        for _ in range(10):
+            L = 10 ** rng.uniform(-2.0, math.log10(top[kind]))
+            upto, multi, _ = _oracle(*triple, L)
+            assert _pykernels.count_upto(*triple, L) == upto, (triple, L)
+            assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
+            calls += 2
+    assert calls >= 5000
+
+
+def _unit_band_before(L):
+    # the band count_multi kept before it took one band per floor value:
+    # _band(L, 1) must reproduce it bit for bit
+    lo = 2.0 * math.cosh(L / 4.0 * (1.0 + 1e-6))
+    hi = 2.0 * math.cosh(L / 2.0 * (1.0 - 1e-6))
+    if (
+        2.0 < lo < hi
+        and L / (2.0 * math.acosh(lo / 2.0)) <= 2.0 - 2e-12
+        and L / (2.0 * math.acosh(hi / 2.0)) >= 1.0 + 1e-12
+    ):
+        return lo, hi
+    return math.inf, -math.inf
+
+
 def test_count_multi_band_is_empty_where_it_cannot_be_proved():
-    # at tiny, zero or negative radii the band collapses and every slope
+    # at tiny, zero or negative radii the bands collapse and every slope
     # takes the exact formula; the results still match the reference
     tr = fn_to_triple(TorusPoint(1e-3, 0.0))
     for L in (1e-9, 1e-6, 1e-4, 0.0, -0.5, -3.0):
         assert _pykernels.count_multi(tr.x, tr.y, tr.z, L) == _oracle(tr.x, tr.y, tr.z, L)[1]
-    assert _pykernels._unit_band(1e-9) == (math.inf, -math.inf)
-    assert _pykernels._unit_band(-1.0) == (math.inf, -math.inf)
-    lo, hi = _pykernels._unit_band(10.0)
-    assert 2.0 * math.cosh(2.5) < lo < hi < 2.0 * math.cosh(5.0)
+    for k in (1, 2):
+        for L in (1e-300, 1e-9, 1e-7, 0.0, -0.0, -1e-9, -1.0, -40.0):
+            assert _pykernels._band(L, k) == (math.inf, -math.inf), (L, k)
+
+
+def test_bands_lie_inside_their_floor_interval():
+    rng = random.Random(2)
+    radii = [1e-3, 0.01, 0.1, 1.0, 2.5, 10.0, 80.0, 160.0, 700.0]
+    radii += [10 ** rng.uniform(-3.0, 2.8) for _ in range(200)]
+    for L in radii:
+        assert [v.hex() for v in _pykernels._band(L, 1)] == [v.hex() for v in _unit_band_before(L)], L
+        for k in (1, 2):
+            lo, hi = _pykernels._band(L, k)
+            assert lo < hi, (L, k)
+            # strictly inside the traces of lengths L/(k+1) and L/k
+            assert 2.0 * math.cosh(L / (2.0 * (k + 1))) < lo < hi < 2.0 * math.cosh(L / (2.0 * k))
+            # the formula gives k at both ends and at the floats just inside
+            for t in (lo, math.nextafter(lo, math.inf), math.nextafter(hi, 0.0), hi):
+                assert math.floor(L / (2.0 * math.acosh(t / 2.0))) == k, (L, k, t)
+        # the floor-2 band ends below the unit band
+        assert _pykernels._band(L, 2)[1] < _pykernels._band(L, 1)[0]
 
 
 def test_pure_walks_reject_unbounded_radius():
@@ -123,6 +207,18 @@ def test_pure_walks_reject_unbounded_radius():
                 kernel(3.0, 3.0, 3.0, L)
     with pytest.raises(OverflowError):
         _pykernels.count_upto(3.0, 3.0, 3.0, 1500.0)
+
+
+def test_lattice_ball_kernels_reject_non_finite_radius():
+    # a NaN radius would count -1 points, and an infinite one would never end
+    for L in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _pykernels.count_ball((1.0,), (1.0,), (0,), L)
+        with pytest.raises(ValueError, match="finite"):
+            _pykernels.ball_m_vectors((1.0, 0.5), (3,), L)
+    assert _pykernels.count_ball((1.0,), (1.0,), (0,), 0.0) == 0
+    assert _pykernels.count_ball((1.0,), (1.0,), (0,), -1.0) == 0
+    assert list(_pykernels.ball_m_vectors((1.0,), (0,), -1.0)) == []
 
 
 def test_backend_identifies_itself():
