@@ -255,9 +255,7 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
             functional = lambda fn: 1.0
         else:
             functional = lambda fn: bounds_mod.b_comb(surf, fn)
-        res = wpcells.mc_integrate(
-            functional, spec, args.samples, cfg.seed, threads=cfg.threads
-        )
+        res = wpcells.mc_integrate(functional, spec, args.samples, cfg.seed)
     doc = {
         "surface": args.surface,
         "cell": {
@@ -490,7 +488,6 @@ def cmd_torus_mc(cfg: RunConfig, args) -> int:
         cfg.seed,
         symmetry_factor=cfg.symmetry_factor,
         bers=cfg.bers_bound("S11"),
-        threads=cfg.threads,
     )
     doc = {
         "functional": args.functional,
@@ -532,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON run configuration")
     common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--threads", type=int, help="override the worker count")
     common.add_argument("--out", help="write the command's file artifact here")
 
     top = argparse.ArgumentParser(
@@ -633,17 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
-    updates = {}
     if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        updates["threads"] = args.threads
-    if updates:
-        d = cfg.to_dict()
-        d.update(updates)
-        cfg = RunConfig.from_dict(d)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

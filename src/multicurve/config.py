@@ -78,9 +78,7 @@ class Budgets:
 
 @dataclass(frozen=True)
 class RunConfig:
-    surface: str = "S11"
     seed: int = 20260814
-    threads: int = 1
     volume_table: str | None = None  # path; None = bundled table
     epsilon: float = 0.1
     bers_bounds: dict = field(default_factory=lambda: dict(_DEFAULT_BERS))
@@ -93,8 +91,6 @@ class RunConfig:
     provenance: dict = field(default_factory=lambda: dict(_PROVENANCE))
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not (0 < self.epsilon < 1):
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.c1 <= 0 or self.c2 < self.c1:
@@ -107,21 +103,19 @@ class RunConfig:
             if not (self.epsilon < v):
                 raise ConfigError("bers bound for %s must exceed epsilon" % name)
 
-    def bers_bound(self, surface: str | None = None) -> float:
-        name = surface or self.surface
+    def bers_bound(self, surface: str) -> float:
         try:
-            return self.bers_bounds[name]
+            return self.bers_bounds[surface]
         except KeyError:
-            raise ConfigError("no bers bound configured for surface %r" % name) from None
+            raise ConfigError("no bers bound configured for surface %r" % surface) from None
 
-    def kappa_of(self, surface: str | None = None) -> Fraction:
-        name = surface or self.surface
+    def kappa_of(self, surface: str) -> Fraction:
         try:
-            return Fraction(self.kappa[name])
+            return Fraction(self.kappa[surface])
         except KeyError:
-            raise ConfigError("no kappa calibrated for surface %r" % name) from None
+            raise ConfigError("no kappa calibrated for surface %r" % surface) from None
 
-    def constants(self, surface: str | None = None) -> Constants:
+    def constants(self, surface: str) -> Constants:
         return Constants(
             epsilon=self.epsilon,
             bers_bound=self.bers_bound(surface),

@@ -99,7 +99,7 @@ BUILTIN_CUTS = {
 }
 
 
-def simplex_monomial_integral(e, a, var_name: str = "L") -> PiPoly:
+def simplex_monomial_integral(e, a) -> PiPoly:
     """∫ over {sum a_i x_i <= L, x_i >= 0} of prod x_i^e_i dx, as an exact
     monomial in L:
 

@@ -201,7 +201,7 @@ def systole_slope(X: TorusPoint, bers: float = BERS_11) -> tuple:
     return best[0], shortest, len(ties)
 
 
-def _systole_weight(X: TorusPoint, symmetry_factor: float, bers: float):
+def _systole_weight(X: TorusPoint, symmetry_factor: float):
     """1/(multiplicity × symmetryFactor) when the base curve is a systole,
     else 0 (the point is represented elsewhere in the box)."""
     slopes = enumerate_short_slopes(X, X.ell + LENGTH_TIE_TOL)
@@ -242,7 +242,7 @@ def mc_moduli(
     points = [TorusPoint(ell, tau) for ell, tau in zip(ells.tolist(), taus.tolist())]
 
     def weighted(X: TorusPoint) -> float:
-        w = _systole_weight(X, symmetry_factor, bers)
+        w = _systole_weight(X, symmetry_factor)
         if w == 0.0:
             return 0.0
         value = functional(X)

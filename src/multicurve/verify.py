@@ -192,9 +192,9 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
     lmax = cfg.budgets.bhat_lmax
     n = cfg.budgets.moduli_samples
     bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 1,
-                           symmetry_factor=cfg.symmetry_factor, threads=cfg.threads).estimate
+                           symmetry_factor=cfg.symmetry_factor).estimate
     integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2,
-                               symmetry_factor=cfg.symmetry_factor, threads=cfg.threads).estimate
+                               symmetry_factor=cfg.symmetry_factor).estimate
     khat = integral / (L * L / 2.0)
     chat = khat / 2.0
     ells, taus = torus.sample_bers_box(cfg.budgets.ratio_points, cfg.seed + 3)
@@ -304,12 +304,12 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     cut = frequencies.cut_nonseparating_s11()
     kappa = cfg.kappa_of("S11")
     n = cfg.budgets.moduli_samples
-    sf, th = cfg.symmetry_factor, cfg.threads
+    sf = cfg.symmetry_factor
     parts = []
 
     # (i) volume of moduli space
     target = float(table.volume(1, 1, (0,)))
-    r = torus.mc_moduli(lambda X: 1.0, n, cfg.seed + 5, symmetry_factor=sf, threads=th)
+    r = torus.mc_moduli(lambda X: 1.0, n, cfg.seed + 5, symmetry_factor=sf)
     vol_dev = abs(r.estimate - target) / r.stderr
     vol_ok = vol_dev <= 3.0
     parts.append("vol dev %s sigma" % _fmt(vol_dev))
@@ -318,7 +318,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     L = cfg.budgets.ratio_L
     counts = {
         LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6,
-                            symmetry_factor=sf, threads=th)
+                            symmetry_factor=sf)
         for LL in (L, 2 * L)
     }
     khats = [counts[LL].estimate / (LL * LL / 2.0) for LL in (L, 2 * L)]
@@ -327,7 +327,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     snapped = frequencies.calibrate_kappa(cut, [1], table, lambda LL: counts[LL], L)
     b_target = float(frequencies.b_closed_form_s11(kappa))
     bhat = torus.mc_moduli(lambda X: torus.b_hat(X, cfg.budgets.bhat_lmax), n,
-                           cfg.seed + 7, symmetry_factor=sf, threads=th).estimate
+                           cfg.seed + 7, symmetry_factor=sf).estimate
     b_dev = abs(bhat / b_target - 1.0)
     b_ok = k_stab <= 0.05 and snapped == kappa and b_dev <= 0.10
     parts.append("khat stab %s, b rel dev %s" % (_fmt(k_stab), _fmt(b_dev)))
@@ -336,9 +336,9 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     m = cfg.budgets.moment_samples
     lmax = cfg.budgets.bhat_lmax
     a1 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, m, cfg.seed + 8,
-                         symmetry_factor=sf, threads=th).estimate
+                         symmetry_factor=sf).estimate
     a2 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, 2 * m, cfg.seed + 8,
-                         symmetry_factor=sf, threads=th).estimate
+                         symmetry_factor=sf).estimate
     ahat = (a1 + a2) / 2.0
     a_cov = abs(a2 - a1) / (math.sqrt(2.0) * ahat)
     a_ok = a_cov <= 0.10
@@ -351,7 +351,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     pred = (ahat / bhat**2) * c1 * c2
     joint = torus.mc_moduli(
         lambda X: torus.count_s(X, 1, Lj) * torus.count_s(X, 2, Lj) / Lj**4,
-        m, cfg.seed + 9, symmetry_factor=sf, threads=th).estimate
+        m, cfg.seed + 9, symmetry_factor=sf).estimate
     j_dev = abs(joint / pred - 1.0)
     j_ok = j_dev <= 0.15
     parts.append("joint rel dev %s" % _fmt(j_dev))
@@ -368,24 +368,24 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
 
 
 def check_determinism(cfg: RunConfig) -> CheckResult:
-    """Thread counts and reruns never change a seeded result bit."""
+    """Reruns on the same seed never change a result bit."""
     n = min(cfg.budgets.moduli_samples, 2000)
     f = lambda X: torus.b_hat(X, 40.0)
-    r1 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor, threads=1)
-    r4 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor, threads=4)
-    threads_ok = (r1.estimate, r1.stderr) == (r4.estimate, r4.stderr)
+    m1 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor)
+    m2 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor)
+    moduli_ok = (m1.estimate, m1.stderr) == (m2.estimate, m2.stderr)
 
     spec = wpcells.CellSpec(SurfaceType(1, 1), 1, eps=cfg.epsilon,
                             bers_bound=cfg.bers_bound("S11"))
     w1 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     w2 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
-    rerun_ok = (w1.estimate, w1.stderr) == (w2.estimate, w2.stderr)
+    cells_ok = (w1.estimate, w1.stderr) == (w2.estimate, w2.stderr)
 
     return CheckResult(
         "determinism",
-        threads_ok and rerun_ok,
-        "threads 1 vs 4 identical: %s; rerun identical: %s; backend %s (single backend)"
-        % (threads_ok, rerun_ok, BACKEND),
+        moduli_ok and cells_ok,
+        "moduli rerun identical: %s; cell rerun identical: %s; backend %s (single backend)"
+        % (moduli_ok, cells_ok, BACKEND),
         "bit-identical",
     )
 

@@ -145,7 +145,7 @@ def sample_cell(spec: CellSpec, count: int, seed: int):
     yield from FNPoint.from_draws(*_draw_cell(spec, count, seed))
 
 
-def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int, threads: int = 1) -> MCResult:
+def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int) -> MCResult:
     """Monte Carlo integral of a functional over the cell.
 
     estimate = cell volume × sample mean, stderr = volume × std/√count.
@@ -154,7 +154,7 @@ def mc_integrate(fn_of_fn, spec: CellSpec, count: int, seed: int, threads: int =
     if count < 2:
         raise ValueError("need at least 2 samples for an error estimate")
     points = list(FNPoint.from_draws(*_draw_cell(spec, count, seed)))
-    values = ordered_map(fn_of_fn, points, threads=threads)
+    values = ordered_map(fn_of_fn, points)
     for point, value in zip(points, values):
         if not math.isfinite(value):
             raise ArithmeticError(

@@ -13,21 +13,17 @@ from multicurve.hypfun import Constants
 
 def test_defaults_are_valid():
     cfg = RunConfig()
-    assert cfg.surface == "S11"
     assert cfg.seed == 20260814
-    assert cfg.threads == 1
     assert cfg.epsilon == 0.1
     assert cfg.comparison_c == 4.0
     assert (cfg.c1, cfg.c2) == (0.25, 2.25)
     assert cfg.symmetry_factor == 1.0
     assert cfg.volume_table is None
-    assert cfg.bers_bound() == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
-    assert cfg.kappa_of() == Fraction(1)
+    assert cfg.bers_bound("S11") == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
+    assert cfg.kappa_of("S11") == Fraction(1)
 
 
 def test_validation_errors():
-    with pytest.raises(ConfigError, match="threads"):
-        RunConfig(threads=0)
     with pytest.raises(ConfigError, match="epsilon"):
         RunConfig(epsilon=0.0)
     with pytest.raises(ConfigError, match="epsilon"):
@@ -68,7 +64,7 @@ def test_unknown_surface_lookups():
 
 def test_constants_view():
     cfg = RunConfig()
-    consts = cfg.constants()
+    consts = cfg.constants("S11")
     assert isinstance(consts, Constants)
     assert consts.epsilon == cfg.epsilon
     assert consts.bers_bound == cfg.bers_bound("S11")
@@ -86,7 +82,7 @@ def test_provenance_covers_calibrated_constants():
 
 
 def test_dict_round_trip():
-    cfg = RunConfig(seed=7, threads=3)
+    cfg = RunConfig(seed=7)
     d = cfg.to_dict()
     assert d["seed"] == 7
     assert isinstance(d["budgets"]["bound_lengths"], list)
@@ -100,6 +96,9 @@ def test_dict_round_trip():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys: boost"):
         RunConfig.from_dict({"boost": 2})
+    # keys of configs saved before these fields were removed
+    with pytest.raises(ConfigError, match="unknown config keys: surface, threads"):
+        RunConfig.from_dict({**RunConfig().to_dict(), "surface": "S11", "threads": 1})
     with pytest.raises(ConfigError, match="unknown budget keys: warp"):
         RunConfig.from_dict({"budgets": {"warp": 9}})
 

@@ -103,6 +103,13 @@ def test_pure_walks_match_oracle_at_twisted_triples():
             _assert_pure_walks_match(triple, radii)
 
 
+def test_pure_walks_match_oracle_where_a_spine_root_fails_the_left_cross_test():
+    # Off the cusp identity, which the walks never assume.  At tmax = 99.9
+    # a phase-2 node passes every spine test but the left cross grandchild
+    # cl*tm - tl > tmax; count_upto reads 622 instead of 636 without it.
+    _assert_pure_walks_match((2.0001, 9.99, 10.0), [2.0 * math.acosh(99.9 / 2.0)])
+
+
 def _first_crossing_radii(X):
     # just past the shortest root slope that crosses the base curve's
     # collar: few slopes, but spines whose fixed end is the base trace

@@ -133,14 +133,6 @@ def test_mc_integrate_nonfinite_functional():
         mc_integrate(lambda fn: math.inf, spec, 8, SEED)
 
 
-def test_mc_integrate_threads_do_not_change_result():
-    spec = CellSpec(S12, 1)
-    f = lambda fn: fn.lengths[0] + fn.twists[1]
-    a = mc_integrate(f, spec, 500, SEED, threads=1)
-    b = mc_integrate(f, spec, 500, SEED, threads=4)
-    assert a == b
-
-
 def test_mc_integrate_chart_additivity():
     # ∫ l dl dtau over the box = ∫ l² dl = bers³/3, split across the two cells
     exact = BERS**3 / 3
@@ -299,7 +291,7 @@ def ref_mc_moduli(functional, samples, seed):
     values = []
     for i in range(samples):
         X = torus.TorusPoint(ells[i], taus[i])
-        w = torus._systole_weight(X, torus.SYMMETRY_FACTOR, torus.BERS_11)
+        w = torus._systole_weight(X, torus.SYMMETRY_FACTOR)
         values.append(0.0 if w == 0.0 else w * functional(X))
     return ref_mc_result(values, torus.BERS_11**2 / 2.0, seed)
 
