@@ -33,7 +33,7 @@ from . import bounds as bounds_mod
 from . import dtlattice, frequencies, thurston, torus, verify, wpcells
 from .config import ConfigError, RunConfig, load_config
 from .dtlattice import CombWeights
-from .hypfun import FNPoint, collar_width
+from .hypfun import BERS_BOUNDS, FNPoint
 from .topology import builtin_surface
 from .volumes import volume_table_load
 
@@ -198,11 +198,8 @@ def cmd_bounds_eval(cfg: RunConfig, args) -> int:
         if not (0 < args.epsilon < 1):
             raise ConfigError("--epsilon must lie in (0, 1)")
         consts = dataclasses.replace(consts, epsilon=args.epsilon)
-    try:
-        fn = FNPoint(tuple(lengths), tuple(twists))
-        report = bounds_mod.bound_report(surf, fn, consts)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    fn = FNPoint(tuple(lengths), tuple(twists))
+    report = bounds_mod.bound_report(surf, fn, consts)
     _emit({"surface": args.surface, "report": report.as_dict()}, cfg, args.out)
     return 0
 
@@ -234,22 +231,16 @@ def _parse_functional_cells(text: str):
 def cmd_cells_integrate(cfg: RunConfig, args) -> int:
     surf, _dec = builtin_surface(args.surface)
     eps = cfg.epsilon if args.epsilon is None else args.epsilon
-    try:
-        spec = wpcells.CellSpec(
-            surface=surf,
-            thin_count=args.k,
-            eps=eps,
-            bers_bound=cfg.bers_bound(args.surface),
-            thin_floor=args.floor,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    spec = wpcells.CellSpec(
+        surface=surf,
+        thin_count=args.k,
+        eps=eps,
+        bers_bound=BERS_BOUNDS[args.surface],
+        thin_floor=args.floor,
+    )
     kind, power = _parse_functional_cells(args.functional)
     if kind == "power":
-        try:
-            res = wpcells.f_power_mc(spec, power, args.samples, cfg.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        res = wpcells.f_power_mc(spec, power, args.samples, cfg.seed)
     else:
         if kind == "one":
             functional = lambda fn: 1.0
@@ -293,26 +284,19 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
 # freq
 
 
-def _builtin_cut(cfg: RunConfig, surface: str):
-    makers = frequencies.BUILTIN_CUTS.get(surface)
-    if not makers:
+def _builtin_cut(surface: str):
+    """The surface's builtin cut and its calibrated kappa."""
+    if surface not in frequencies.KAPPA:
         raise ConfigError(
-            "no builtin cut data for %s (available: %s)"
-            % (surface, ", ".join(sorted(frequencies.BUILTIN_CUTS)))
+            "no builtin cut with a calibrated kappa for %s (available: %s)"
+            % (surface, ", ".join(sorted(frequencies.KAPPA)))
         )
-    return makers[0](), cfg.kappa_of(surface)
-
-
-def _load_table(cfg: RunConfig):
-    try:
-        return volume_table_load(cfg.volume_table)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc))
+    return frequencies.BUILTIN_CUTS[surface][0](), frequencies.KAPPA[surface]
 
 
 def cmd_freq_compute(cfg: RunConfig, args) -> int:
-    cut, kappa = _builtin_cut(cfg, args.surface)
-    table = _load_table(cfg)
+    cut, kappa = _builtin_cut(args.surface)
+    table = volume_table_load(cfg.volume_table)
     try:
         wts = [int(v) for v in args.weights.split(",")]
     except ValueError:
@@ -330,12 +314,12 @@ def cmd_freq_compute(cfg: RunConfig, args) -> int:
 
 
 def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
-    cut, kappa = _builtin_cut(cfg, args.surface)
+    cut, kappa = _builtin_cut(args.surface)
     if args.surface != "S11":
         raise ConfigError(
             "the closed-form target is only known for S11; got %s" % args.surface
         )
-    table = _load_table(cfg)
+    table = volume_table_load(cfg.volume_table)
     cap = args.cap if args.cap is not None else cfg.budgets.freq_cap
     if cap < 1:
         raise ConfigError("--cap must be at least 1")
@@ -358,8 +342,8 @@ def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
 
 
 def cmd_freq_joint(cfg: RunConfig, args) -> int:
-    cut, kappa = _builtin_cut(cfg, "S11")
-    table = _load_table(cfg)
+    cut, kappa = _builtin_cut("S11")
+    table = volume_table_load(cfg.volume_table)
     if args.q1 < 1 or args.q2 < 1:
         raise ConfigError("--q1 and --q2 must be positive integers")
     a = frequencies.PiRat(_parse_rational(args.a, "--a"))
@@ -400,21 +384,14 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
 # torus
 
 
-def _torus_point(args) -> torus.TorusPoint:
-    try:
-        return torus.TorusPoint(args.ell, args.tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_torus_count(cfg: RunConfig, args) -> int:
-    X = _torus_point(args)
+    X = torus.TorusPoint(args.ell, args.tau)
     if not 0 < args.length < math.inf:
         raise ConfigError("--length must be positive and finite")
     L = args.length
     simple = torus.count_s(X, 1, L)
     multi = torus.count_b(X, L)
-    slope, syslen, mult = torus.systole_slope(X, cfg.bers_bound("S11"))
+    slope, syslen, mult = torus.systole_slope(X)
     doc = {
         "ell": X.ell,
         "tau": X.tau,
@@ -430,7 +407,7 @@ def cmd_torus_count(cfg: RunConfig, args) -> int:
 
 
 def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
-    X = _torus_point(args)
+    X = torus.TorusPoint(args.ell, args.tau)
     if not 0 < args.length < math.inf:
         raise ConfigError("--length must be positive and finite")
     spectrum = torus.enumerate_short_slopes(X, args.length)
@@ -482,13 +459,7 @@ def cmd_torus_mc(cfg: RunConfig, args) -> int:
     samples = args.samples if args.samples is not None else cfg.budgets.moduli_samples
     if samples < 2:
         raise ConfigError("--samples must be at least 2")
-    res = torus.mc_moduli(
-        functional,
-        samples,
-        cfg.seed,
-        symmetry_factor=cfg.symmetry_factor,
-        bers=cfg.bers_bound("S11"),
-    )
+    res = torus.mc_moduli(functional, samples, cfg.seed)
     doc = {
         "functional": args.functional,
         "result": {
@@ -510,10 +481,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     only = None
     if args.only:
         only = [v for v in args.only.split(",") if v]
-    try:
-        status, report = verify.run_verify(cfg, only)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    status, report = verify.run_verify(cfg, only)
     sys.stdout.write(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,47 +1,24 @@
-"""Run configuration: calibrated constants, budgets, provenance.
+"""Run configuration: what a run varies.
 
-Every number the pipelines depend on lives here rather than in code, so a
-run can be reproduced from its embedded config alone.  Calibrated values
-(comparison_c, c1, c2, kappa, symmetry_factor) come from the measurement
-protocol described in their provenance strings; budgets are sized so the
-verification suite meets its stated runtime bounds on a small desktop.
+A run is reproduced from its embedded config alone: the seed, the thin
+threshold epsilon, an optional volume table and the budgets.  Budgets are
+sized so the verification suite meets its stated runtime bounds on a small
+desktop.  The calibrated constants are not configuration; each has one
+definition in code, with its provenance beside it: the comparison and
+sandwich constants in hypfun.Constants, the Bers bounds in
+hypfun.BERS_BOUNDS and kappa in frequencies.KAPPA.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 
-from .hypfun import TORUS_MAX_SYSTOLE, Constants
+from .hypfun import BERS_BOUNDS, Constants
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
-
-
-_DEFAULT_BERS = {
-    "S11": TORUS_MAX_SYSTOLE,  # sharp: maximal systole of the (1,1) torus
-    "S04": 4.0,  # conservative, configured
-    "S12": 6.0,  # conservative, configured
-    "S20": 8.0,  # conservative, configured
-}
-
-_DEFAULT_KAPPA = {"S11": "1"}
-
-_PROVENANCE = {
-    "epsilon": "thin threshold; configuration, default 0.1",
-    "bers_bound.S11": "2*arccosh(3/2): systole maximum, attained at the square torus",
-    "bers_bound.other": "conservative configured box uppers; nothing depends on sharpness",
-    "comparison_c": "calibrated: max hyperbolic/comb length ratio 3.27 over 78 points x ~500 "
-    "slopes incl. Bers corner and thin limits; frozen at 4.0",
-    "c1": "calibrated: min Bhat/F = 0.364 over box+thin+crossover sweeps; frozen at 0.25",
-    "c2": "calibrated: max Bhat/F = 1.578 (at ell just above epsilon); frozen at 2.25",
-    "kappa.S11": "calibrated: khat = 1.0019 +- 0.0053 at L in {40, 80}; snapped to 1",
-    "symmetry_factor": "calibrated: 400^2 grid quadrature of the weighted systole "
-    "indicator over the Bers box = 1.644844 vs pi^2/6 = 1.644934",
-    "volume_table": "bundled polynomial table (data/volumes.txt) unless overridden",
-}
 
 
 @dataclass(frozen=True)
@@ -79,50 +56,20 @@ class Budgets:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 20260814
-    volume_table: str | None = None  # path; None = bundled table
-    epsilon: float = 0.1
-    bers_bounds: dict = field(default_factory=lambda: dict(_DEFAULT_BERS))
-    comparison_c: float = 4.0
-    c1: float = 0.25
-    c2: float = 2.25
-    symmetry_factor: float = 1.0
-    kappa: dict = field(default_factory=lambda: dict(_DEFAULT_KAPPA))
+    volume_table: str | None = None  # path; None = the bundled data/volumes.txt
+    epsilon: float = 0.1  # thin threshold
     budgets: Budgets = field(default_factory=Budgets)
-    provenance: dict = field(default_factory=lambda: dict(_PROVENANCE))
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ConfigError("epsilon must lie in (0, 1)")
-        if self.c1 <= 0 or self.c2 < self.c1:
-            raise ConfigError("sandwich constants need 0 < c1 <= c2")
-        if self.comparison_c < 1:
-            raise ConfigError("comparison_c must be >= 1")
-        if self.symmetry_factor <= 0:
-            raise ConfigError("symmetry_factor must be positive")
-        for name, v in self.bers_bounds.items():
-            if not (self.epsilon < v):
-                raise ConfigError("bers bound for %s must exceed epsilon" % name)
-
-    def bers_bound(self, surface: str) -> float:
-        try:
-            return self.bers_bounds[surface]
-        except KeyError:
-            raise ConfigError("no bers bound configured for surface %r" % surface) from None
-
-    def kappa_of(self, surface: str) -> Fraction:
-        try:
-            return Fraction(self.kappa[surface])
-        except KeyError:
-            raise ConfigError("no kappa calibrated for surface %r" % surface) from None
 
     def constants(self, surface: str) -> Constants:
-        return Constants(
-            epsilon=self.epsilon,
-            bers_bound=self.bers_bound(surface),
-            comparison_c=self.comparison_c,
-            c1=self.c1,
-            c2=self.c2,
-        )
+        try:
+            bers = BERS_BOUNDS[surface]
+        except KeyError:
+            raise ConfigError("no bers bound for surface %r" % surface) from None
+        return Constants(epsilon=self.epsilon, bers_bound=bers)
 
     def to_dict(self) -> dict:
         d = asdict(self)

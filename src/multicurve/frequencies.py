@@ -7,9 +7,9 @@ to an integral over the cut pieces:
 
 where x ranges over the cut-curve lengths, V(γ, x) is the product of the cut
 pieces' volume polynomials, and κ is a positive rational bookkeeping
-constant (supplied by configuration or calibrated against the geometric
-backend).  The frequency c(a.γ) is the leading coefficient of P; summing
-frequencies over all topological types and integer weights gives the average
+constant, calibrated against the geometric backend (KAPPA).  The frequency
+c(a.γ) is the leading coefficient of P; summing frequencies over all
+topological types and integer weights gives the average
 unit-ball volume b_{g,n}, and the joint frequency of a pair is
 (a_{g,n}/b_{g,n}²)·c(γ₁)·c(γ₂).
 
@@ -97,6 +97,10 @@ BUILTIN_CUTS = {
     "S11": (cut_nonseparating_s11,),
     "S04": (cut_separating_s04,),
 }
+
+# κ per surface, for its builtin cut: S11's khat = 1.0019 +- 0.0053 at
+# L in {40, 80} (calibrate_kappa against the torus backend), snapped to 1
+KAPPA = {"S11": Fraction(1)}
 
 
 def simplex_monomial_integral(e, a) -> PiPoly:

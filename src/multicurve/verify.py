@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds, frequencies, thurston, torus, wpcells
 from ._kernels import BACKEND
 from .config import RunConfig
-from .dtlattice import CombWeights, count_ball
+from .dtlattice import CombWeights
 from .exactpoly import PiPoly, PiRat
 from .hypfun import FNPoint, collar_width
 from .topology import SurfaceType, builtin_surface
@@ -62,7 +62,7 @@ def check_closed_form(cfg: RunConfig) -> CheckResult:
                 ws, ls = (collar_width(ell),) * N, (ell,) * N
             wts = CombWeights(ws, ls)
             closed = thurston.comb_ball_measure(surf, wts)
-            est = count_ball(dec, wts, L) / L ** (2 * N)
+            est = thurston.lattice_ball_estimate(dec, wts, L)
             worst = max(worst, abs(est / closed - 1.0))
     elapsed = time.monotonic() - t0
     ok = worst <= 0.02 and elapsed <= 60.0
@@ -82,7 +82,7 @@ def check_cell_integrals(cfg: RunConfig) -> CheckResult:
     """Exact thin/thick cell factors and Monte Carlo agreement."""
     s11 = SurfaceType(1, 1)
     eps = cfg.epsilon
-    bers = cfg.bers_bound("S11")
+    bers = torus.BERS_11
     n = cfg.budgets.cell_samples
     seed = cfg.seed
 
@@ -117,7 +117,7 @@ def check_cell_integrals(cfg: RunConfig) -> CheckResult:
 def check_square_integrability(cfg: RunConfig) -> CheckResult:
     """F² integrable on every cell; F^2.5 diverges as the floor drops."""
     s11 = SurfaceType(1, 1)
-    eps, bers = cfg.epsilon, cfg.bers_bound("S11")
+    eps, bers = cfg.epsilon, torus.BERS_11
     n, seed = cfg.budgets.cell_samples, cfg.seed
 
     worst = 0.0
@@ -160,7 +160,8 @@ def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = 1e-1):
 
 def check_sandwich(cfg: RunConfig) -> CheckResult:
     """Calibrated two-sided bound C1·F <= Bhat <= C2·F, zero violations."""
-    eps = cfg.epsilon
+    consts = cfg.constants("S11")
+    eps, c1, c2 = consts.epsilon, consts.c1, consts.c2
     ells, taus = torus.sample_bers_box(cfg.budgets.sandwich_box, cfg.seed)
     pts = [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
     pts += _thin_points(cfg.budgets.sandwich_thin, cfg.seed)
@@ -170,14 +171,14 @@ def check_sandwich(cfg: RunConfig) -> CheckResult:
         B = torus.b_hat(X, cfg.budgets.bhat_lmax)
         r = B / F
         lo_ratio, hi_ratio = min(lo_ratio, r), max(hi_ratio, r)
-        if not (cfg.c1 * F <= B <= cfg.c2 * F):
+        if not (c1 * F <= B <= c2 * F):
             violations += 1
     ok = violations == 0
     return CheckResult(
         "sandwich-bounds",
         ok,
         "%d violations on %d samples; Bhat/F in [%s, %s] vs [C1, C2] = [%g, %g]" % (
-            violations, len(pts), _fmt(lo_ratio), _fmt(hi_ratio), cfg.c1, cfg.c2),
+            violations, len(pts), _fmt(lo_ratio), _fmt(hi_ratio), c1, c2),
         "zero violations",
     )
 
@@ -191,10 +192,8 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
     L = cfg.budgets.ratio_L
     lmax = cfg.budgets.bhat_lmax
     n = cfg.budgets.moduli_samples
-    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 1,
-                           symmetry_factor=cfg.symmetry_factor).estimate
-    integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2,
-                               symmetry_factor=cfg.symmetry_factor).estimate
+    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 1).estimate
+    integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2).estimate
     khat = integral / (L * L / 2.0)
     chat = khat / 2.0
     ells, taus = torus.sample_bers_box(cfg.budgets.ratio_points, cfg.seed + 3)
@@ -262,7 +261,7 @@ def check_frequency_exactness(cfg: RunConfig) -> CheckResult:
     """Symbolic counting polynomial, partial-sum tails, joint sum identity."""
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
-    kappa = cfg.kappa_of("S11")
+    kappa = frequencies.KAPPA["S11"]
 
     sym_ok = all(
         frequencies.count_polynomial(cut, [q], kappa, table)
@@ -302,14 +301,13 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     """Volume, b, a and the joint product, all from the torus backend."""
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
-    kappa = cfg.kappa_of("S11")
+    kappa = frequencies.KAPPA["S11"]
     n = cfg.budgets.moduli_samples
-    sf = cfg.symmetry_factor
     parts = []
 
     # (i) volume of moduli space
     target = float(table.volume(1, 1, (0,)))
-    r = torus.mc_moduli(lambda X: 1.0, n, cfg.seed + 5, symmetry_factor=sf)
+    r = torus.mc_moduli(lambda X: 1.0, n, cfg.seed + 5)
     vol_dev = abs(r.estimate - target) / r.stderr
     vol_ok = vol_dev <= 3.0
     parts.append("vol dev %s sigma" % _fmt(vol_dev))
@@ -317,8 +315,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     # (ii) kappa stability and the b integral
     L = cfg.budgets.ratio_L
     counts = {
-        LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6,
-                            symmetry_factor=sf)
+        LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6)
         for LL in (L, 2 * L)
     }
     khats = [counts[LL].estimate / (LL * LL / 2.0) for LL in (L, 2 * L)]
@@ -327,7 +324,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     snapped = frequencies.calibrate_kappa(cut, [1], table, lambda LL: counts[LL], L)
     b_target = float(frequencies.b_closed_form_s11(kappa))
     bhat = torus.mc_moduli(lambda X: torus.b_hat(X, cfg.budgets.bhat_lmax), n,
-                           cfg.seed + 7, symmetry_factor=sf).estimate
+                           cfg.seed + 7).estimate
     b_dev = abs(bhat / b_target - 1.0)
     b_ok = k_stab <= 0.05 and snapped == kappa and b_dev <= 0.10
     parts.append("khat stab %s, b rel dev %s" % (_fmt(k_stab), _fmt(b_dev)))
@@ -335,10 +332,8 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     # (iii) the second moment, stable under sample doubling
     m = cfg.budgets.moment_samples
     lmax = cfg.budgets.bhat_lmax
-    a1 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, m, cfg.seed + 8,
-                         symmetry_factor=sf).estimate
-    a2 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, 2 * m, cfg.seed + 8,
-                         symmetry_factor=sf).estimate
+    a1 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, m, cfg.seed + 8).estimate
+    a2 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, 2 * m, cfg.seed + 8).estimate
     ahat = (a1 + a2) / 2.0
     a_cov = abs(a2 - a1) / (math.sqrt(2.0) * ahat)
     a_ok = a_cov <= 0.10
@@ -351,7 +346,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     pred = (ahat / bhat**2) * c1 * c2
     joint = torus.mc_moduli(
         lambda X: torus.count_s(X, 1, Lj) * torus.count_s(X, 2, Lj) / Lj**4,
-        m, cfg.seed + 9, symmetry_factor=sf).estimate
+        m, cfg.seed + 9).estimate
     j_dev = abs(joint / pred - 1.0)
     j_ok = j_dev <= 0.15
     parts.append("joint rel dev %s" % _fmt(j_dev))
@@ -371,12 +366,11 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
     """Reruns on the same seed never change a result bit."""
     n = min(cfg.budgets.moduli_samples, 2000)
     f = lambda X: torus.b_hat(X, 40.0)
-    m1 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor)
-    m2 = torus.mc_moduli(f, n, cfg.seed, symmetry_factor=cfg.symmetry_factor)
+    m1 = torus.mc_moduli(f, n, cfg.seed)
+    m2 = torus.mc_moduli(f, n, cfg.seed)
     moduli_ok = (m1.estimate, m1.stderr) == (m2.estimate, m2.stderr)
 
-    spec = wpcells.CellSpec(SurfaceType(1, 1), 1, eps=cfg.epsilon,
-                            bers_bound=cfg.bers_bound("S11"))
+    spec = wpcells.CellSpec(SurfaceType(1, 1), 1, eps=cfg.epsilon, bers_bound=torus.BERS_11)
     w1 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     w2 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     cells_ok = (w1.estimate, w1.stderr) == (w2.estimate, w2.stderr)

@@ -20,13 +20,12 @@ point by point, and mc_result reads numpy arrays in bounded chunks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hypfun import TORUS_MAX_SYSTOLE, FNPoint, r_weight
+from .hypfun import TORUS_MAX_SYSTOLE, FNPoint, chunked_tolist, r_weight
 from .runpar import ordered_map
 from .topology import SurfaceType
 
@@ -64,16 +63,9 @@ class MCResult:
             raise ValueError("stderr must be nonnegative")
 
 
-_CHUNK = 1024  # elements of a numpy array read as Python floats at a time
-
-
 def _floats(values):
     """The values as Python floats; a numpy array is read in bounded chunks."""
-    if not isinstance(values, np.ndarray):
-        return values
-    return itertools.chain.from_iterable(
-        values[lo : lo + _CHUNK].tolist() for lo in range(0, len(values), _CHUNK)
-    )
+    return chunked_tolist(values) if isinstance(values, np.ndarray) else values
 
 
 def mc_result(values, volume: float, seed: int) -> MCResult:

@@ -209,18 +209,57 @@ def test_reruns_are_byte_identical(capsys):
     assert first == second
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert cli.main(["dt", "enumerate", "--surface", "S99", "--weights", "1,1", "--length", "2"]) == 2
     assert cli.main(["dt", "enumerate", "--surface", "S12", "--weights", "1,1,1", "--length", "2"]) == 2
     assert cli.main(["cells", "integrate", "--surface", "S11", "--k", "1", "--functional", "Fq", "--samples", "10"]) == 2
-    assert cli.main(["cells", "integrate", "--surface", "S11", "--k", "1", "--functional", "Fp:0.5", "--samples", "10"]) == 2  # floor 0
     assert cli.main(["freq", "sum-b", "--surface", "S11", "--cap", "0"]) == 2
-    assert cli.main(["verify", "--only", "no-such-check"]) == 2
     assert cli.main(["torus", "count", "--ell", "1.0", "--tau", "0", "--length", "5", "--config", "/nonexistent.json"]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["torus", "count", "--ell", "1", "--tau", "0", "--length", "5", "--threads", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # ValueError and OSError from the library reach main() unwrapped, which
+    # prints them as it prints a ConfigError
+    missing = tmp_path / "absent.txt"
+    bad_table = tmp_path / "bad.txt"
+    bad_table.write_text("V 1 1 : x\n")
+    configs = {}
+    for name, table in (("missing", missing), ("bad", bad_table)):
+        configs[name] = tmp_path / (name + ".json")
+        configs[name].write_text(json.dumps({"volume_table": str(table)}))
+    cases = [
+        (["torus", "count", "--ell", "-1", "--tau", "0", "--length", "5"],
+         "base length must be positive and finite"),
+        (["torus", "spectrum", "--ell", "1", "--tau", "nan", "--length", "5"],
+         "twist must be finite"),
+        (["freq", "compute", "--config", str(configs["missing"])],
+         "[Errno 2] No such file or directory: %r" % str(missing)),
+        (["freq", "joint", "--config", str(configs["bad"])],
+         "volume table line 1: bad token 'x' in term 'x'"),
+        (["bounds", "eval", "--lengths", "-0.5"],
+         "cuff lengths must be strictly positive and finite"),
+        (["bounds", "eval", "--lengths", "3.0"],
+         "cuff 1 has length 3 > bers bound 1.92485; pass a systole-adapted decomposition"),
+        (["cells", "integrate", "--floor", "0.5", "--samples", "10"],
+         "thin_floor must lie in [0, eps)"),
+        (["cells", "integrate", "--k", "1", "--functional", "Fp:0.5", "--samples", "10"],
+         "power > 2 needs a positive thin_floor (not integrable)"),  # floor 0
+        (["verify", "--only", "no-such-check"], "unknown checks: no-such-check"),
+    ]
+    for argv, msg in cases:
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: %s\n" % msg), argv
+
+
+def test_freq_names_only_surfaces_with_a_calibrated_kappa(capsys):
+    # S04 has builtin cut data but no calibrated kappa, so it is not offered
+    for argv in (["freq", "compute", "--surface", "S04"],
+                 ["freq", "sum-b", "--surface", "S04"],
+                 ["freq", "compute", "--surface", "S99"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: no builtin cut with a calibrated kappa for %s (available: S11)\n" % argv[3])
 
 
 def test_readme_commands_parse():
@@ -262,9 +301,11 @@ def test_missing_volume_table_exits_2(capsys, tmp_path):
 
 
 def test_degenerate_geometry_exits_3(capsys):
-    assert cli.main(["torus", "count", "--ell", "800", "--tau", "0", "--length", "5"]) == 3
-    err = capsys.readouterr().err
-    assert "degenerated" in err
+    # coth(ell/2) rounds to 1 at ell = 800, cosh(ell/2) at ell = 1e-8
+    for ell, length in (("800", "5"), ("1e-8", "9")):
+        assert cli.main(["torus", "count", "--ell", ell, "--tau", "0", "--length", length]) == 3
+        err = capsys.readouterr().err
+        assert "degenerated" in err
 
 
 def test_verify_single_check_passes(capsys):

@@ -3,24 +3,23 @@
 import json
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from multicurve.config import Budgets, ConfigError, RunConfig, load_config
-from multicurve.hypfun import Constants
+from multicurve.hypfun import BERS_BOUNDS, Constants
+
+# keys of configs saved while the calibrated constants were configuration
+REMOVED_KEYS = ("bers_bounds", "c1", "c2", "comparison_c", "kappa", "provenance",
+                "symmetry_factor")
 
 
 def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.seed == 20260814
     assert cfg.epsilon == 0.1
-    assert cfg.comparison_c == 4.0
-    assert (cfg.c1, cfg.c2) == (0.25, 2.25)
-    assert cfg.symmetry_factor == 1.0
     assert cfg.volume_table is None
-    assert cfg.bers_bound("S11") == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
-    assert cfg.kappa_of("S11") == Fraction(1)
+    assert set(cfg.to_dict()) == {"seed", "volume_table", "epsilon", "budgets"}
 
 
 def test_validation_errors():
@@ -28,16 +27,10 @@ def test_validation_errors():
         RunConfig(epsilon=0.0)
     with pytest.raises(ConfigError, match="epsilon"):
         RunConfig(epsilon=1.0)
-    with pytest.raises(ConfigError, match="c1"):
-        RunConfig(c1=0.0)
-    with pytest.raises(ConfigError, match="c1 <= c2"):
-        RunConfig(c1=2.0, c2=1.0)
-    with pytest.raises(ConfigError, match="comparison_c"):
-        RunConfig(comparison_c=0.5)
-    with pytest.raises(ConfigError, match="symmetry_factor"):
-        RunConfig(symmetry_factor=0.0)
-    with pytest.raises(ConfigError, match="exceed epsilon"):
-        RunConfig(epsilon=0.5, bers_bounds={"S11": 0.4})
+    # a calibrated constant is not a run setting
+    for key in REMOVED_KEYS:
+        with pytest.raises(TypeError):
+            RunConfig(**{key: 1.0})
 
 
 def test_budget_validation():
@@ -55,11 +48,9 @@ def test_budget_validation():
 
 def test_unknown_surface_lookups():
     cfg = RunConfig()
-    with pytest.raises(ConfigError, match="no bers bound"):
-        cfg.bers_bound("S99")
-    with pytest.raises(ConfigError, match="no kappa"):
-        cfg.kappa_of("S04")
-    assert cfg.bers_bound("S04") == 4.0
+    with pytest.raises(ConfigError, match="no bers bound for surface 'S99'"):
+        cfg.constants("S99")
+    assert cfg.constants("S04").bers_bound == 4.0
 
 
 def test_constants_view():
@@ -67,18 +58,12 @@ def test_constants_view():
     consts = cfg.constants("S11")
     assert isinstance(consts, Constants)
     assert consts.epsilon == cfg.epsilon
-    assert consts.bers_bound == cfg.bers_bound("S11")
-    assert consts.comparison_c == cfg.comparison_c
-    assert (consts.c1, consts.c2) == (cfg.c1, cfg.c2)
-    # per-surface bers bound flows through
+    assert consts.bers_bound == BERS_BOUNDS["S11"] == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
+    # the calibrated constants are the Constants defaults
+    assert (consts.comparison_c, consts.c1, consts.c2) == (4.0, 0.25, 2.25)
+    # the run's epsilon and the per-surface bers bound flow through
+    assert replace(cfg, epsilon=0.05).constants("S11").epsilon == 0.05
     assert cfg.constants("S12").bers_bound == 6.0
-
-
-def test_provenance_covers_calibrated_constants():
-    cfg = RunConfig()
-    for key in ("comparison_c", "c1", "c2", "kappa.S11", "symmetry_factor"):
-        assert key in cfg.provenance
-        assert "calibrated" in cfg.provenance[key]
 
 
 def test_dict_round_trip():
@@ -99,6 +84,10 @@ def test_from_dict_rejects_unknown_keys():
     # keys of configs saved before these fields were removed
     with pytest.raises(ConfigError, match="unknown config keys: surface, threads"):
         RunConfig.from_dict({**RunConfig().to_dict(), "surface": "S11", "threads": 1})
+    # each calibrated constant, as the config echo carried it before
+    for key in REMOVED_KEYS:
+        with pytest.raises(ConfigError, match="unknown config keys: %s$" % key):
+            RunConfig.from_dict({**RunConfig().to_dict(), key: 1.0})
     with pytest.raises(ConfigError, match="unknown budget keys: warp"):
         RunConfig.from_dict({"budgets": {"warp": 9}})
 

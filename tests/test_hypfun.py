@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from multicurve.config import RunConfig
 from multicurve.hypfun import (
+    BERS_BOUNDS,
     Constants,
     FNPoint,
     collar_width,
@@ -124,9 +125,9 @@ def test_h_turns_once_so_h_max_is_the_endpoint_maximum():
     turns = [i for i in range(1, len(rising)) if rising[i] != rising[i - 1]]
     assert len(turns) == 1 and not rising[0]
     assert xs[hs.index(min(hs))] == pytest.approx(1.7626, abs=1e-3)
-    # so no interior point of a configured [epsilon, bers] beats its ends
+    # so no interior point of a default [epsilon, bers] beats its ends
     cfg = RunConfig()
-    for bers in cfg.bers_bounds.values():
+    for bers in BERS_BOUNDS.values():
         lo, hi = cfg.epsilon, bers
         grid = max(h_weight(lo + (hi - lo) * k / 20000) for k in range(20000))
         assert h_max(lo, hi) == max(h_weight(lo), h_weight(hi)) >= grid

@@ -216,6 +216,20 @@ def test_pure_walks_reject_unbounded_radius():
         _pykernels.count_upto(3.0, 3.0, 3.0, 1500.0)
 
 
+def test_pure_walks_reject_roots_at_or_below_2():
+    # from x = 2 each left child is 2*5 - 5 = 5, a spine that never grows,
+    # and below 2 a length is undefined: the walk hung or raised a bare
+    # ValueError from acosh
+    bad = (2.0, 1.5, math.nextafter(2.0, 0.0), -3.0, math.inf, math.nan)
+    for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
+        for t in bad:
+            for roots in ((t, 5.0, 5.0), (5.0, t, 5.0)):
+                with pytest.raises(ArithmeticError, match="root traces"):
+                    kernel(*roots, 5.0)
+    # a root just above 2 is walked as before
+    _assert_pure_walks_match((2.0000001, 5.0, 5.0), [5.0])
+
+
 def test_lattice_ball_kernels_reject_non_finite_radius():
     # a NaN radius would count -1 points, and an infinite one would never end
     for L in (math.nan, math.inf, -math.inf):

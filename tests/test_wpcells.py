@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from multicurve import torus, wpcells
+from multicurve import hypfun, torus, wpcells
 from multicurve.hypfun import FNPoint
 from multicurve.topology import builtin_surface
 from multicurve.wpcells import (
@@ -291,7 +291,7 @@ def ref_mc_moduli(functional, samples, seed):
     values = []
     for i in range(samples):
         X = torus.TorusPoint(ells[i], taus[i])
-        w = torus._systole_weight(X, torus.SYMMETRY_FACTOR)
+        w = torus._systole_weight(X)
         values.append(0.0 if w == 0.0 else w * functional(X))
     return ref_mc_result(values, torus.BERS_11**2 / 2.0, seed)
 
@@ -364,7 +364,7 @@ def test_f_power_mc_is_the_per_scalar_summary(monkeypatch, power, floor):
 
 def test_mc_result_reads_arrays_and_lists_alike():
     rng = np.random.default_rng(SEED)
-    chunk = wpcells._CHUNK
+    chunk = hypfun._CHUNK
     for n in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 100_000):
         vals = rng.pareto(1.5, n)  # heavy tail: squares round in many ways
         ref = result_bits(ref_mc_result(vals, 0.7, SEED))
