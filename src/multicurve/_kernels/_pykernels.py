@@ -8,8 +8,9 @@ lists them with ball_t_vectors, by the one membership rule stated below.
 At a NaN or infinite radius the lattice-ball kernels raise ValueError and
 the tree walks raise ArithmeticError: such a ball never ends, and such a
 trace bound would prune nothing.  The tree walks also raise ArithmeticError
-when a root trace x or y is at most 2 or not finite: from x = 2 a spine
-s' = x*s - s_prev never grows, and below 2 a length is undefined.
+when a root trace x or y, or a mediant root z or x*y - z, is at most 2 or
+not finite: from a trace of 2 a spine s' = t*s - s_prev never grows, and
+below 2 a length is undefined.
 
 count_upto and count_multi share one walk in two phases.  Phase 1 applies
 the pruning rule from the roots until an edge's mediant exceeds both its
@@ -177,10 +178,14 @@ def trace_of_slope(x, y, z, p, q):
     return tm
 
 
-def _check_roots(x, y):
-    """Raise ArithmeticError unless both root traces lie in (2, inf)."""
-    if not (2.0 < x < math.inf and 2.0 < y < math.inf):
-        raise ArithmeticError("root traces must lie in (2, inf), got x=%r y=%r" % (x, y))
+def _check_roots(x, y, z):
+    """Raise ArithmeticError unless the root traces x and y and the two
+    mediant roots z and x*y - z all lie in (2, inf)."""
+    w = x * y - z
+    if not (2.0 < x < math.inf and 2.0 < y < math.inf
+            and 2.0 < z < math.inf and 2.0 < w < math.inf):
+        raise ArithmeticError(
+            "root traces must lie in (2, inf), got x=%r y=%r z=%r xy-z=%r" % (x, y, z, w))
 
 
 def _trace_bound(L):
@@ -335,7 +340,7 @@ def _count_walk(x, y, z, L, tmax, band1, band2):
 def slopes_upto(x, y, z, L):
     """All slopes with length <= L as (p, q, trace) triples, sorted by
     (trace, q, p)."""
-    _check_roots(x, y)
+    _check_roots(x, y, z)
     tmax = _trace_bound(L)
     out = [(p, q, t) for p, q, t in ((0, 1, x), (1, 0, y)) if t <= tmax]
     for sign, zroot in ((1, z), (-1, x * y - z)):
@@ -361,13 +366,13 @@ def slopes_upto(x, y, z, L):
 
 def count_upto(x, y, z, L):
     """Number of slopes with length <= L."""
-    _check_roots(x, y)
+    _check_roots(x, y, z)
     return _count_walk(x, y, z, L, _trace_bound(L), (-math.inf, math.inf), _NO_BAND)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
     i.e. sum over slopes of floor(L / length)."""
-    _check_roots(x, y)
+    _check_roots(x, y, z)
     tmax = _trace_bound(L)
     return _count_walk(x, y, z, L, tmax, _band(L, 1), _band(L, 2))

@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypfun import Constants, FNPoint, h_max, r_weight, thin_cuffs
+from .hypfun import Constants, FNPoint, collar_width, h_max, r_weight, thin_cuffs
 from .thurston import comb_ball_measure
 from .dtlattice import CombWeights
-from .hypfun import collar_width
 from .topology import SurfaceType
 
 

@@ -14,8 +14,9 @@ Subcommands
     torus mc          moduli-space Monte Carlo (one, B, B2, ss:k1,k2:L)
     verify            acceptance suite; report is byte-stable for a seed
 
-Every command prints a JSON document that embeds the fully resolved
-configuration, so a saved output is a complete record of the run.  Exit
+Every command but verify prints a JSON document that embeds the fully
+resolved configuration, so a saved output is a complete record of the run;
+verify prints a plain-text report that ends with that configuration.  Exit
 codes: 0 success, 1 verification check failed, 2 invalid configuration or
 arguments, 3 numeric failure.
 """
@@ -33,18 +34,24 @@ from . import bounds as bounds_mod
 from . import dtlattice, frequencies, thurston, torus, verify, wpcells
 from .config import ConfigError, RunConfig, load_config
 from .dtlattice import CombWeights
-from .hypfun import BERS_BOUNDS, FNPoint
+from .hypfun import BERS_BOUNDS, EPSILON, Constants, FNPoint
 from .topology import builtin_surface
 from .volumes import volume_table_load
 
 
-def emit_plotdata(series, path: str) -> None:
-    """Write (x, y, yerr) rows as CSV with the fixed header `x,y,yerr`;
-    an empty series produces a header-only file."""
+def _cell(v) -> str:
+    if isinstance(v, int):
+        return str(v)
+    return "%.17g" % v
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write a header line and one line per row, ints as str and floats as
+    %.17g; no rows gives a header-only file."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,yerr\n")
-        for x, y, yerr in series:
-            fh.write("%.17g,%.17g,%.17g\n" % (x, y, yerr))
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _emit(doc: dict, cfg: RunConfig, out: str | None) -> None:
@@ -107,10 +114,7 @@ def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
         + ["length"]
     )
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(v) for v in row) + "\n")
+        _write_csv(args.out, header, rows)
     doc = {
         "surface": args.surface,
         "weights": {"width": wts.width, "length": wts.length},
@@ -124,12 +128,6 @@ def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
         doc["points"] = [list(row) for row in rows]
     _emit(doc, cfg, None)
     return 0
-
-
-def _cell(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return "%.17g" % v
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,8 @@ def cmd_measure_ball(cfg: RunConfig, args) -> int:
         "fitted_rate": rate,
     }
     if args.out:
-        emit_plotdata(((L, est, abs(est - closed)) for L, est, err in ladder), args.out)
+        _write_csv(args.out, ("x", "y", "yerr"),
+                   ((L, est, abs(est - closed)) for L, est, err in ladder))
         doc["out"] = args.out
     _emit(doc, cfg, None)
     return 0
@@ -193,7 +192,7 @@ def cmd_bounds_eval(cfg: RunConfig, args) -> int:
             raise ConfigError(
                 "--twists needs %d values for %s" % (surf.cuff_count, args.surface)
             )
-    consts = cfg.constants(args.surface)
+    consts = Constants(bers_bound=BERS_BOUNDS[args.surface])
     if args.epsilon is not None:
         if not (0 < args.epsilon < 1):
             raise ConfigError("--epsilon must lie in (0, 1)")
@@ -230,7 +229,7 @@ def _parse_functional_cells(text: str):
 
 def cmd_cells_integrate(cfg: RunConfig, args) -> int:
     surf, _dec = builtin_surface(args.surface)
-    eps = cfg.epsilon if args.epsilon is None else args.epsilon
+    eps = EPSILON if args.epsilon is None else args.epsilon
     spec = wpcells.CellSpec(
         surface=surf,
         thin_count=args.k,
@@ -267,14 +266,11 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
     if kind == "power" and power == 2.0 and spec.thin_floor == 0.0:
         doc["exact"] = wpcells.f2_cell_integral(spec)
     if args.dump:
-        with open(args.dump, "w", encoding="ascii") as fh:
-            names = ["l%d" % i for i in range(1, surf.cuff_count + 1)]
-            names += ["t%d" % i for i in range(1, surf.cuff_count + 1)]
-            fh.write(",".join(names) + "\n")
-            for fn in wpcells.sample_cell(spec, args.samples, cfg.seed):
-                fh.write(
-                    ",".join("%.17g" % v for v in fn.lengths + fn.twists) + "\n"
-                )
+        names = ["l%d" % i for i in range(1, surf.cuff_count + 1)]
+        names += ["t%d" % i for i in range(1, surf.cuff_count + 1)]
+        _write_csv(args.dump, names,
+                   (fn.lengths + fn.twists
+                    for fn in wpcells.sample_cell(spec, args.samples, cfg.seed)))
         doc["dump"] = args.dump
     _emit(doc, cfg, args.out)
     return 0
@@ -320,16 +316,15 @@ def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
             "the closed-form target is only known for S11; got %s" % args.surface
         )
     table = volume_table_load(cfg.volume_table)
-    cap = args.cap if args.cap is not None else cfg.budgets.freq_cap
-    if cap < 1:
+    if args.cap < 1:
         raise ConfigError("--cap must be at least 1")
     partial, tail = frequencies.b_from_frequencies(
-        cut.surface, [(cut, kappa)], table, cap
+        cut.surface, [(cut, kappa)], table, args.cap
     )
     closed = frequencies.b_closed_form_s11(kappa)
     doc = {
         "surface": args.surface,
-        "cap": cap,
+        "cap": args.cap,
         "partial": str(partial),
         "partial_float": float(partial),
         "tail_bound": tail,
@@ -351,12 +346,11 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
     c1 = frequencies.frequency(cut, [args.q1], kappa, table)
     c2 = frequencies.frequency(cut, [args.q2], kappa, table)
     c12 = frequencies.joint_frequency(c1, c2, a, b)
-    cap = args.cap if args.cap is not None else cfg.budgets.freq_cap
-    if cap < 1:
+    if args.cap < 1:
         raise ConfigError("--cap must be at least 1")
     # partial double sum of the identity  sum c(q1 g, q2 g) = a
     singles = [
-        frequencies.frequency(cut, [q], kappa, table) for q in range(1, cap + 1)
+        frequencies.frequency(cut, [q], kappa, table) for q in range(1, args.cap + 1)
     ]
     total = frequencies.PiRat(0)
     for u in singles:
@@ -371,7 +365,7 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
         "c2": str(c2),
         "joint": str(c12),
         "joint_float": float(c12),
-        "cap": cap,
+        "cap": args.cap,
         "identity_partial": str(total),
         "identity_partial_float": float(total),
         "identity_target_float": float(a),
@@ -418,10 +412,7 @@ def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
         "count": len(spectrum),
     }
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("p,q,length\n")
-            for s, l in spectrum:
-                fh.write("%d,%d,%.17g\n" % (s.p, s.q, l))
+        _write_csv(args.out, ("p", "q", "length"), ((s.p, s.q, l) for s, l in spectrum))
         doc["out"] = args.out
     else:
         doc["spectrum"] = [[s.p, s.q, l] for s, l in spectrum]
@@ -429,10 +420,10 @@ def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _parse_functional_torus(text: str, cfg: RunConfig):
+def _parse_functional_torus(text: str):
     if text == "one":
         return lambda X: 1.0
-    lmax = cfg.budgets.bhat_lmax
+    lmax = torus.BHAT_LMAX
     if text == "B":
         return lambda X: torus.b_hat(X, lmax)
     if text == "B2":
@@ -455,11 +446,10 @@ def _parse_functional_torus(text: str, cfg: RunConfig):
 
 
 def cmd_torus_mc(cfg: RunConfig, args) -> int:
-    functional = _parse_functional_torus(args.functional, cfg)
-    samples = args.samples if args.samples is not None else cfg.budgets.moduli_samples
-    if samples < 2:
+    functional = _parse_functional_torus(args.functional)
+    if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
-    res = torus.mc_moduli(functional, samples, cfg.seed)
+    res = torus.mc_moduli(functional, args.samples, cfg.seed)
     doc = {
         "functional": args.functional,
         "result": {
@@ -559,13 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_freq_compute)
     p = freq.add_parser("sum-b", parents=[common], help="partial sums of c over weights")
     p.add_argument("--surface", default="S11")
-    p.add_argument("--cap", type=int, help="weight cap (default from budgets)")
+    p.add_argument("--cap", type=int, default=100, help="weight cap")
     p.set_defaults(run=cmd_freq_sum_b)
     p = freq.add_parser("joint", parents=[common], help="joint frequency and identity")
     p.add_argument("--q1", type=int, default=1)
     p.add_argument("--q2", type=int, default=1)
     p.add_argument("--a", default="1", help="second moment a as a rational, e.g. 9/20")
-    p.add_argument("--cap", type=int, help="identity partial-sum cap")
+    p.add_argument("--cap", type=int, default=100, help="identity partial-sum cap")
     p.set_defaults(run=cmd_freq_joint)
 
     tor = sub.add_parser("torus", help="once-punctured torus backend").add_subparsers(
@@ -585,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--functional", default="one", help="one | B | B2 | ss:<k1>,<k2>:<L>"
     )
-    p.add_argument("--samples", type=int, help="default from budgets")
+    p.add_argument("--samples", type=int, default=8000)
     p.set_defaults(run=cmd_torus_mc)
 
     p = sub.add_parser("verify", parents=[common], help="acceptance suite")

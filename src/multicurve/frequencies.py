@@ -229,10 +229,10 @@ def joint_frequency(c1, c2, a, b):
             exact = False
     if exact:
         return a * c1 * c2 / (b * b)
-    fa, fb = _as_float(a), _as_float(b)
+    fa, fb = float(a), float(b)
     if fa <= 0 or fb <= 0:
         raise ValueError("a and b must be positive")
-    return fa / fb**2 * _as_float(c1) * _as_float(c2)
+    return fa / fb**2 * float(c1) * float(c2)
 
 
 def statistics(c1, c2, c12, a, b, m) -> dict:
@@ -247,8 +247,8 @@ def statistics(c1, c2, c12, a, b, m) -> dict:
             "Cov": c12 / m - c1 * c2 / m2,
             "Var": a / m - b * b / m2,
         }
-    c1, c2, c12 = _as_float(c1), _as_float(c2), _as_float(c12)
-    a, b, m = _as_float(a), _as_float(b), _as_float(m)
+    c1, c2, c12 = float(c1), float(c2), float(c12)
+    a, b, m = float(a), float(b), float(m)
     if m <= 0:
         raise ValueError("total volume m must be positive")
     return {
@@ -306,10 +306,6 @@ class FrequencyReport:
             out["b_tail"] = self.b_tail
         if self.stats is not None:
             out["stats"] = {
-                key: (str(v), _as_float(v)) for key, v in self.stats.items()
+                key: (str(v), float(v)) for key, v in self.stats.items()
             }
         return out
-
-
-def _as_float(v) -> float:
-    return float(v)

@@ -12,6 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
+# thin threshold: a cuff of length <= EPSILON is thin.  The sandwich
+# constants Constants.c1 and c2 were calibrated at this value, and the verify
+# tolerances were tuned with it; `--epsilon` overrides it for one command.
+EPSILON = 0.1
+
 # maximal systole of the once-punctured torus, 2 arccosh(3/2), attained at the
 # square torus: the sharp Bers bound there
 TORUS_MAX_SYSTOLE = 2 * math.acosh(1.5)
@@ -139,21 +144,22 @@ def thin_cuffs(fn, eps: float) -> set[int]:
 class Constants:
     """Numeric constants the bound layer depends on.
 
-    epsilon is the thin threshold and bers_bound the cuff-length bound of
-    the surface; a run sets both (config.RunConfig.constants).  comparison_c,
-    the constant comparing combinatorial to hyperbolic length, and (c1, c2),
-    the sandwich constants c1·F <= B <= c2·F of the unit-ball function, are
-    calibrated and defined here alone.
+    epsilon is the thin threshold (EPSILON unless a command overrides it)
+    and bers_bound the cuff-length bound of the surface, BERS_BOUNDS[surface].
+    comparison_c, the constant comparing combinatorial to hyperbolic length,
+    and (c1, c2), the sandwich constants c1·F <= B <= c2·F of the unit-ball
+    function, are calibrated and defined here alone; c1 and c2 hold at the
+    threshold EPSILON they were calibrated at.
     """
 
-    epsilon: float = 0.1
+    epsilon: float = EPSILON
     bers_bound: float = TORUS_MAX_SYSTOLE  # sharp for the once-punctured torus
     # max hyperbolic/comb length ratio 3.27 over 78 points x ~500 slopes,
     # Bers corner and thin limits included; frozen at 4.0
     comparison_c: float = 4.0
     # min Bhat/F = 0.364 over box, thin and crossover sweeps; frozen at 0.25
     c1: float = 0.25
-    # max Bhat/F = 1.578, at ell just above epsilon; frozen at 2.25
+    # max Bhat/F = 1.578, at ell just above EPSILON; frozen at 2.25
     c2: float = 2.25
 
     def __post_init__(self):

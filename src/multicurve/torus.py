@@ -44,6 +44,9 @@ from .wpcells import MCResult, mc_result
 
 BERS_11 = TORUS_MAX_SYSTOLE
 LENGTH_TIE_TOL = 1e-9
+# top of the b_hat ladder: the unit-ball estimate verify and `torus mc`'s
+# B and B2 functionals use, and the one the verify tolerances were tuned at
+BHAT_LMAX = 80.0
 
 
 @dataclass(frozen=True)

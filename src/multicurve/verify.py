@@ -1,8 +1,13 @@
 """Verification suite: one deterministic pass/fail line per acceptance check.
 
 Every check is seeded from the run config, so a rerun with the same config
-produces a byte-identical report (wall-clock budgets are enforced but never
+produces a byte-identical report (wall-clock limits are enforced but never
 printed in the passing text).  The report embeds the resolved config.
+
+Sample counts and radii are fixed here, each beside the check whose
+tolerance was tuned with it, and the thin threshold is hypfun.EPSILON, at
+which the sandwich constants were calibrated; a run config varies only the
+seed and the volume table.
 """
 
 from __future__ import annotations
@@ -20,11 +25,16 @@ from ._kernels import BACKEND
 from .config import RunConfig
 from .dtlattice import CombWeights
 from .exactpoly import PiPoly, PiRat
-from .hypfun import FNPoint, collar_width
+from .hypfun import BERS_BOUNDS, EPSILON, Constants, FNPoint, collar_width
 from .topology import SurfaceType, builtin_surface
 from .volumes import volume_table_load
 
 _THIN_STREAM = 0x7819  # Philox stream for the deliberate thin samples
+
+# sizes two checks share
+CELL_SAMPLES = 100000  # MC draws per Weil-Petersson cell
+MODULI_SAMPLES = 8000  # draws for mc_moduli of 1, Bhat, count_s
+RATIO_L = 80.0  # counting radius of the kappa and count-ratio estimates
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ def check_closed_form(cfg: RunConfig) -> CheckResult:
     measure, on both one-cuff builtins and three weight choices."""
     t0 = time.monotonic()
     worst = 0.0
-    L = cfg.budgets.lattice_L
+    L = 2000.0  # lattice-ball radius
     for name in ("S11", "S04"):
         surf, dec = builtin_surface(name)
         N = surf.cuff_count
@@ -81,9 +91,9 @@ def check_closed_form(cfg: RunConfig) -> CheckResult:
 def check_cell_integrals(cfg: RunConfig) -> CheckResult:
     """Exact thin/thick cell factors and Monte Carlo agreement."""
     s11 = SurfaceType(1, 1)
-    eps = cfg.epsilon
+    eps = EPSILON
     bers = torus.BERS_11
-    n = cfg.budgets.cell_samples
+    n = CELL_SAMPLES
     seed = cfg.seed
 
     thin_spec = wpcells.CellSpec(s11, 1, eps=eps, bers_bound=bers)
@@ -117,8 +127,8 @@ def check_cell_integrals(cfg: RunConfig) -> CheckResult:
 def check_square_integrability(cfg: RunConfig) -> CheckResult:
     """F² integrable on every cell; F^2.5 diverges as the floor drops."""
     s11 = SurfaceType(1, 1)
-    eps, bers = cfg.epsilon, torus.BERS_11
-    n, seed = cfg.budgets.cell_samples, cfg.seed
+    eps, bers = EPSILON, torus.BERS_11
+    n, seed = CELL_SAMPLES, cfg.seed
 
     worst = 0.0
     for k in (0, 1):
@@ -132,7 +142,7 @@ def check_square_integrability(cfg: RunConfig) -> CheckResult:
         worst = max(worst, dev)
 
     ladder = []
-    for floor in cfg.budgets.witness_floors:
+    for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         spec = wpcells.CellSpec(s11, 1, eps=eps, bers_bound=bers, thin_floor=floor)
         ladder.append(wpcells.f_power_mc(spec, 2.5, n, seed).estimate)
     monotone = all(b > a for a, b in zip(ladder, ladder[1:]))
@@ -151,7 +161,7 @@ def check_square_integrability(cfg: RunConfig) -> CheckResult:
 # --- 4 -----------------------------------------------------------------
 
 
-def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = 1e-1):
+def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = EPSILON):
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _THIN_STREAM]))
     ells = np.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random(count))
     taus = ells * rng.random(count)
@@ -160,15 +170,15 @@ def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = 1e-1):
 
 def check_sandwich(cfg: RunConfig) -> CheckResult:
     """Calibrated two-sided bound C1·F <= Bhat <= C2·F, zero violations."""
-    consts = cfg.constants("S11")
+    consts = Constants(bers_bound=BERS_BOUNDS["S11"])
     eps, c1, c2 = consts.epsilon, consts.c1, consts.c2
-    ells, taus = torus.sample_bers_box(cfg.budgets.sandwich_box, cfg.seed)
+    ells, taus = torus.sample_bers_box(80, cfg.seed)  # box samples
     pts = [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
-    pts += _thin_points(cfg.budgets.sandwich_thin, cfg.seed)
+    pts += _thin_points(20, cfg.seed)  # deliberate thin samples, ell in [1e-3, EPSILON]
     lo_ratio, hi_ratio, violations = math.inf, 0.0, 0
     for X in pts:
         F = bounds.f_value(FNPoint((X.ell,), (X.tau,)), eps)
-        B = torus.b_hat(X, cfg.budgets.bhat_lmax)
+        B = torus.b_hat(X, torus.BHAT_LMAX)
         r = B / F
         lo_ratio, hi_ratio = min(lo_ratio, r), max(hi_ratio, r)
         if not (c1 * F <= B <= c2 * F):
@@ -189,14 +199,15 @@ def check_sandwich(cfg: RunConfig) -> CheckResult:
 def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
     """count_s(X,1,L)/L² ~ c(γ)/b · B(X) with hatted inputs."""
     t0 = time.monotonic()
-    L = cfg.budgets.ratio_L
-    lmax = cfg.budgets.bhat_lmax
-    n = cfg.budgets.moduli_samples
+    L = RATIO_L
+    lmax = torus.BHAT_LMAX
+    n = MODULI_SAMPLES
+    points = 10
     bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 1).estimate
     integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2).estimate
     khat = integral / (L * L / 2.0)
     chat = khat / 2.0
-    ells, taus = torus.sample_bers_box(cfg.budgets.ratio_points, cfg.seed + 3)
+    ells, taus = torus.sample_bers_box(points, cfg.seed + 3)
     worst = 0.0
     for l, t in zip(ells.tolist(), taus.tolist()):
         X = torus.TorusPoint(l, t)
@@ -209,7 +220,7 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
         "counting-asymptotics",
         ok,
         "worst |ratio-1| %s over %d points at L=%g; %s" % (
-            _fmt(worst), cfg.budgets.ratio_points, L, note),
+            _fmt(worst), points, L, note),
         "0.1, 600 s",
     )
 
@@ -219,11 +230,12 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
 
 def check_uniform_bound(cfg: RunConfig) -> CheckResult:
     """count_s(X,k,L)/L² below the explicit bound and below C(X)/k²."""
-    consts = cfg.constants("S11")
+    consts = Constants(bers_bound=BERS_BOUNDS["S11"])
     surf = SurfaceType(1, 1)
-    lengths = cfg.budgets.bound_lengths
-    kmax = cfg.budgets.bound_kmax
-    ells, taus = torus.sample_bers_box(cfg.budgets.bound_points, cfg.seed + 4)
+    lengths = (20.0, 40.0, 80.0)
+    kmax = 10
+    points = 50
+    ells, taus = torus.sample_bers_box(points, cfg.seed + 4)
     explicit_viol = scaling_viol = 0
     worst_frac = 0.0
     for l, t in zip(ells.tolist(), taus.tolist()):
@@ -248,7 +260,7 @@ def check_uniform_bound(cfg: RunConfig) -> CheckResult:
         ok,
         "%d explicit and %d scaling violations on %d points x %d (k,L) pairs; "
         "max count/bound %s" % (
-            explicit_viol, scaling_viol, cfg.budgets.bound_points,
+            explicit_viol, scaling_viol, points,
             kmax * len(lengths), _fmt(worst_frac)),
         "zero violations",
     )
@@ -272,7 +284,7 @@ def check_frequency_exactness(cfg: RunConfig) -> CheckResult:
     closed = frequencies.b_closed_form_s11(kappa)
     tails_ok = True
     gaps = []
-    for cap in (10, cfg.budgets.freq_cap):
+    for cap in (10, 100):
         partial, tail = frequencies.b_from_frequencies(
             cut.surface, [(cut, kappa)], table, cap)
         gap = float(closed) - float(partial)
@@ -302,7 +314,8 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
     kappa = frequencies.KAPPA["S11"]
-    n = cfg.budgets.moduli_samples
+    n = MODULI_SAMPLES
+    lmax = torus.BHAT_LMAX
     parts = []
 
     # (i) volume of moduli space
@@ -313,7 +326,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     parts.append("vol dev %s sigma" % _fmt(vol_dev))
 
     # (ii) kappa stability and the b integral
-    L = cfg.budgets.ratio_L
+    L = RATIO_L
     counts = {
         LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6)
         for LL in (L, 2 * L)
@@ -323,15 +336,13 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     # the oracle's run at L is the one made for khats[0]
     snapped = frequencies.calibrate_kappa(cut, [1], table, lambda LL: counts[LL], L)
     b_target = float(frequencies.b_closed_form_s11(kappa))
-    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, cfg.budgets.bhat_lmax), n,
-                           cfg.seed + 7).estimate
+    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 7).estimate
     b_dev = abs(bhat / b_target - 1.0)
     b_ok = k_stab <= 0.05 and snapped == kappa and b_dev <= 0.10
     parts.append("khat stab %s, b rel dev %s" % (_fmt(k_stab), _fmt(b_dev)))
 
     # (iii) the second moment, stable under sample doubling
-    m = cfg.budgets.moment_samples
-    lmax = cfg.budgets.bhat_lmax
+    m = 20000  # draws for the heavy-tailed Bhat^2 moment
     a1 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, m, cfg.seed + 8).estimate
     a2 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, 2 * m, cfg.seed + 8).estimate
     ahat = (a1 + a2) / 2.0
@@ -340,7 +351,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     parts.append("ahat %s CoV %s" % (_fmt(ahat), _fmt(a_cov)))
 
     # (iv) joint product against the moment prediction
-    Lj = cfg.budgets.joint_L
+    Lj = 60.0  # joint-counting radius
     c1 = float(frequencies.frequency(cut, [1], khats[0], table))
     c2 = float(frequencies.frequency(cut, [2], khats[0], table))
     pred = (ahat / bhat**2) * c1 * c2
@@ -364,13 +375,13 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
 
 def check_determinism(cfg: RunConfig) -> CheckResult:
     """Reruns on the same seed never change a result bit."""
-    n = min(cfg.budgets.moduli_samples, 2000)
+    n = 2000
     f = lambda X: torus.b_hat(X, 40.0)
     m1 = torus.mc_moduli(f, n, cfg.seed)
     m2 = torus.mc_moduli(f, n, cfg.seed)
     moduli_ok = (m1.estimate, m1.stderr) == (m2.estimate, m2.stderr)
 
-    spec = wpcells.CellSpec(SurfaceType(1, 1), 1, eps=cfg.epsilon, bers_bound=torus.BERS_11)
+    spec = wpcells.CellSpec(SurfaceType(1, 1), 1, bers_bound=torus.BERS_11)
     w1 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     w2 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     cells_ok = (w1.estimate, w1.stderr) == (w2.estimate, w2.stderr)

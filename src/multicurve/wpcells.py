@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypfun import TORUS_MAX_SYSTOLE, FNPoint, chunked_tolist, r_weight
+from .hypfun import EPSILON, TORUS_MAX_SYSTOLE, FNPoint, chunked_tolist, r_weight
 from .runpar import ordered_map
 from .topology import SurfaceType
 
@@ -34,7 +34,7 @@ from .topology import SurfaceType
 class CellSpec:
     surface: SurfaceType
     thin_count: int  # k: number of thin cuffs (the first k indices)
-    eps: float = 0.1
+    eps: float = EPSILON
     bers_bound: float = TORUS_MAX_SYSTOLE
     thin_floor: float = 0.0  # > 0 only for divergence-witness floors
 
@@ -169,8 +169,6 @@ def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
     """
     if count < 2:
         raise ValueError("need at least 2 samples for an error estimate")
-    if spec.eps >= 1.0:
-        raise ValueError("collar-weighted draws need eps < 1")
     if power > 2 and spec.thin_floor == 0 and spec.thin_count > 0:
         raise ValueError("power > 2 needs a positive thin_floor (not integrable)")
     k = spec.thin_count

@@ -61,9 +61,13 @@ def test_measure_ball(capsys, tmp_path):
     assert doc["closed_form"] == pytest.approx(1.0)
     assert doc["fitted_rate"] == pytest.approx(-1.0, abs=0.4)
     assert len(doc["ladder"]) == 3
-    lines = plot.read_text().splitlines()
-    assert lines[0] == "x,y,yerr"
-    assert len(lines) == 4
+    # the estimate at L = 50 is 2550/50² = 1.02, over a closed form of 1
+    assert plot.read_text() == (
+        "x,y,yerr\n"
+        "50,1.02,0.020000000000000018\n"
+        "100,1.01,0.010000000000000009\n"
+        "200,1.0049999999999999,0.0049999999999998934\n"
+    )
 
 
 def test_bounds_eval(capsys):
@@ -117,6 +121,9 @@ def test_cells_dump_csv(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "l1,t1"
     assert len(lines) == 11
+    # rows are the seeded draws at full precision
+    assert lines[1] == "0.098902274345248536,0.010338057219905572"
+    assert lines[10] == "0.082923110832342897,0.070938229622127119"
 
 
 def test_freq_compute(capsys):
@@ -228,6 +235,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for name, table in (("missing", missing), ("bad", bad_table)):
         configs[name] = tmp_path / (name + ".json")
         configs[name].write_text(json.dumps({"volume_table": str(table)}))
+    # the thin threshold and the verify sizes are fixed in code
+    for name, doc in (("epsilon", {"epsilon": 0.1}), ("budgets", {"budgets": {}})):
+        configs[name] = tmp_path / (name + ".json")
+        configs[name].write_text(json.dumps(doc))
     cases = [
         (["torus", "count", "--ell", "-1", "--tau", "0", "--length", "5"],
          "base length must be positive and finite"),
@@ -246,6 +257,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         (["cells", "integrate", "--k", "1", "--functional", "Fp:0.5", "--samples", "10"],
          "power > 2 needs a positive thin_floor (not integrable)"),  # floor 0
         (["verify", "--only", "no-such-check"], "unknown checks: no-such-check"),
+        (["verify", "--only", "determinism", "--config", str(configs["epsilon"])],
+         "unknown config keys: epsilon"),
+        (["torus", "mc", "--samples", "4", "--config", str(configs["budgets"])],
+         "unknown config keys: budgets"),
     ]
     for argv, msg in cases:
         assert cli.main(argv) == 2, argv
@@ -306,12 +321,20 @@ def test_degenerate_geometry_exits_3(capsys):
         assert cli.main(["torus", "count", "--ell", ell, "--tau", "0", "--length", length]) == 3
         err = capsys.readouterr().err
         assert "degenerated" in err
+    # x*y - z = 2.000025 cancels to -832 here: the walk raised a bare
+    # "math domain error" and exited 2
+    assert cli.main(["torus", "count", "--ell", "40", "--tau", "39.99", "--length", "90"]) == 3
+    assert "root traces must lie in (2, inf)" in capsys.readouterr().err
 
 
 def test_verify_single_check_passes(capsys):
     assert cli.main(["verify", "--only", "frequency-exactness"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] frequency-exactness" in out
+    # the report ends with the resolved config, which is the seed and the
+    # volume table alone
+    resolved = out.split("resolved config:\n", 1)[1]
+    assert json.loads(resolved) == {"seed": 20260814, "volume_table": None}
 
 
 def test_verify_fails_on_wrong_volume_table(capsys, tmp_path):

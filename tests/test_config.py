@@ -1,4 +1,5 @@
-"""Run configuration: validation, round trips, and derived constants."""
+"""Run configuration: validation, round trips, and the constants a run does
+not set."""
 
 import json
 import math
@@ -6,71 +7,56 @@ from dataclasses import replace
 
 import pytest
 
-from multicurve.config import Budgets, ConfigError, RunConfig, load_config
-from multicurve.hypfun import BERS_BOUNDS, Constants
+from multicurve.config import ConfigError, RunConfig, load_config
+from multicurve.hypfun import BERS_BOUNDS, EPSILON, Constants
+from multicurve.topology import builtin_surface
 
-# keys of configs saved while the calibrated constants were configuration
-REMOVED_KEYS = ("bers_bounds", "c1", "c2", "comparison_c", "kappa", "provenance",
-                "symmetry_factor")
+# keys of configs saved while the calibrated constants, the thin threshold
+# and the verify sizes were configuration
+REMOVED_KEYS = ("bers_bounds", "budgets", "c1", "c2", "comparison_c", "epsilon", "kappa",
+                "provenance", "symmetry_factor")
 
 
 def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.seed == 20260814
-    assert cfg.epsilon == 0.1
     assert cfg.volume_table is None
-    assert set(cfg.to_dict()) == {"seed", "volume_table", "epsilon", "budgets"}
+    assert cfg.to_dict() == {"seed": 20260814, "volume_table": None}
 
 
 def test_validation_errors():
-    with pytest.raises(ConfigError, match="epsilon"):
-        RunConfig(epsilon=0.0)
-    with pytest.raises(ConfigError, match="epsilon"):
-        RunConfig(epsilon=1.0)
-    # a calibrated constant is not a run setting
+    # a calibrated constant, the thin threshold or a verify size is not a
+    # run setting
     for key in REMOVED_KEYS:
         with pytest.raises(TypeError):
             RunConfig(**{key: 1.0})
 
 
-def test_budget_validation():
-    with pytest.raises(ConfigError, match="cell_samples"):
-        Budgets(cell_samples=0)
-    with pytest.raises(ConfigError, match="freq_cap"):
-        Budgets(freq_cap=0)
-    with pytest.raises(ConfigError, match="bhat_lmax"):
-        Budgets(bhat_lmax=5.0)
-    with pytest.raises(ConfigError, match="positive"):
-        Budgets(lattice_L=0.0)
-    b = Budgets(bound_lengths=[10, 20])
-    assert b.bound_lengths == (10.0, 20.0)
-
-
 def test_unknown_surface_lookups():
-    cfg = RunConfig()
-    with pytest.raises(ConfigError, match="no bers bound for surface 'S99'"):
-        cfg.constants("S99")
-    assert cfg.constants("S04").bers_bound == 4.0
+    # callers look up the Bers bound after builtin_surface has accepted the
+    # name, so every builtin surface has one and an unknown name stops first
+    for name in BERS_BOUNDS:
+        builtin_surface(name)
+    with pytest.raises(KeyError, match="unknown surface 'S99'"):
+        builtin_surface("S99")
+    assert Constants(bers_bound=BERS_BOUNDS["S04"]).bers_bound == 4.0
 
 
 def test_constants_view():
-    cfg = RunConfig()
-    consts = cfg.constants("S11")
-    assert isinstance(consts, Constants)
-    assert consts.epsilon == cfg.epsilon
+    consts = Constants(bers_bound=BERS_BOUNDS["S11"])
+    assert consts.epsilon == EPSILON == 0.1
     assert consts.bers_bound == BERS_BOUNDS["S11"] == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
     # the calibrated constants are the Constants defaults
     assert (consts.comparison_c, consts.c1, consts.c2) == (4.0, 0.25, 2.25)
-    # the run's epsilon and the per-surface bers bound flow through
-    assert replace(cfg, epsilon=0.05).constants("S11").epsilon == 0.05
-    assert cfg.constants("S12").bers_bound == 6.0
+    # an --epsilon override and the per-surface bers bound flow through
+    assert replace(consts, epsilon=0.05).epsilon == 0.05
+    assert Constants(bers_bound=BERS_BOUNDS["S12"]).bers_bound == 6.0
 
 
 def test_dict_round_trip():
     cfg = RunConfig(seed=7)
     d = cfg.to_dict()
-    assert d["seed"] == 7
-    assert isinstance(d["budgets"]["bound_lengths"], list)
+    assert d == {"seed": 7, "volume_table": None}
     again = RunConfig.from_dict(d)
     assert again == cfg
     # json round trip too
@@ -88,17 +74,17 @@ def test_from_dict_rejects_unknown_keys():
     for key in REMOVED_KEYS:
         with pytest.raises(ConfigError, match="unknown config keys: %s$" % key):
             RunConfig.from_dict({**RunConfig().to_dict(), key: 1.0})
-    with pytest.raises(ConfigError, match="unknown budget keys: warp"):
-        RunConfig.from_dict({"budgets": {"warp": 9}})
+    with pytest.raises(ConfigError, match="unknown config keys: budgets$"):
+        RunConfig.from_dict({"budgets": {}})
 
 
 def test_save_and_load(tmp_path):
     path = tmp_path / "run.json"
-    cfg = RunConfig(seed=99, epsilon=0.05)
+    cfg = RunConfig(seed=99, volume_table="vols.txt")
     cfg.save(path)
     loaded = load_config(path)
     assert loaded == cfg
-    assert loaded.seed == 99 and loaded.epsilon == 0.05
+    assert loaded.seed == 99 and loaded.volume_table == "vols.txt"
 
 
 def test_load_config_default_and_errors(tmp_path):
@@ -116,7 +102,8 @@ def test_load_config_default_and_errors(tmp_path):
 
 
 def test_replace_keeps_validation():
+    # replace rejects what the constructor rejects; --seed is applied by it
     cfg = RunConfig()
-    with pytest.raises(ConfigError):
-        replace(cfg, epsilon=2.0)
+    with pytest.raises(TypeError):
+        replace(cfg, epsilon=0.05)
     assert replace(cfg, seed=1).seed == 1

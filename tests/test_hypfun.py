@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from multicurve.config import RunConfig
 from multicurve.hypfun import (
     BERS_BOUNDS,
+    EPSILON,
     Constants,
     FNPoint,
     collar_width,
@@ -126,9 +126,8 @@ def test_h_turns_once_so_h_max_is_the_endpoint_maximum():
     assert len(turns) == 1 and not rising[0]
     assert xs[hs.index(min(hs))] == pytest.approx(1.7626, abs=1e-3)
     # so no interior point of a default [epsilon, bers] beats its ends
-    cfg = RunConfig()
     for bers in BERS_BOUNDS.values():
-        lo, hi = cfg.epsilon, bers
+        lo, hi = EPSILON, bers
         grid = max(h_weight(lo + (hi - lo) * k / 20000) for k in range(20000))
         assert h_max(lo, hi) == max(h_weight(lo), h_weight(hi)) >= grid
 
@@ -160,6 +159,7 @@ def test_fnpoint_validation():
 
 def test_constants_defaults():
     c = Constants()
+    assert c.epsilon == EPSILON
     assert 0 < c.epsilon < 1 < c.bers_bound
     assert c.comparison_c >= 1
     assert 0 < c.c1 <= c.c2

@@ -219,13 +219,19 @@ def test_pure_walks_reject_unbounded_radius():
 def test_pure_walks_reject_roots_at_or_below_2():
     # from x = 2 each left child is 2*5 - 5 = 5, a spine that never grows,
     # and below 2 a length is undefined: the walk hung or raised a bare
-    # ValueError from acosh
+    # ValueError from acosh.  The mediant roots z and x*y - z are checked
+    # too: at z = 2, x*y - z = 1 or z = NaN the walks hung, and count_multi
+    # divided by the zero length of z = 2
     bad = (2.0, 1.5, math.nextafter(2.0, 0.0), -3.0, math.inf, math.nan)
     for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
         for t in bad:
-            for roots in ((t, 5.0, 5.0), (5.0, t, 5.0)):
+            # (5, 5, 25 - t) puts t at x*y - z
+            for roots in ((t, 5.0, 5.0), (5.0, t, 5.0), (5.0, 5.0, t), (5.0, 5.0, 25.0 - t)):
                 with pytest.raises(ArithmeticError, match="root traces"):
                     kernel(*roots, 5.0)
+        for roots in ((5.0, 5.0, 2.0), (5.0, 5.0, 24.0), (3.0, 3.0, math.nan)):
+            with pytest.raises(ArithmeticError, match="root traces"):
+                kernel(*roots, 5.0)
     # a root just above 2 is walked as before
     _assert_pure_walks_match((2.0000001, 5.0, 5.0), [5.0])
 
