@@ -34,6 +34,14 @@ class RunConfig:
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError("unknown config keys: %s" % ", ".join(sorted(extra)))
+        # a JSON file types its own values: the Monte Carlo key needs an int
+        # seed (bool is an int subclass, but no seed), and a table is a path
+        seed = d.get("seed", cls.seed)
+        if type(seed) is not int:
+            raise ConfigError("config seed must be an integer, got %r" % (seed,))
+        table = d.get("volume_table")
+        if not (table is None or isinstance(table, str)):
+            raise ConfigError("config volume_table must be a path or null, got %r" % (table,))
         return cls(**d)
 
     def save(self, path: str) -> None:

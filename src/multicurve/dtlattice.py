@@ -18,7 +18,15 @@ A ball has one membership rule, the one the kernels walk by: the m-cost
 sum m_i w_i is summed left to right and must not exceed L, and then each
 |t_i| l_i is taken in turn from the budget that is left.  enumerate_ball
 lists the points of that rule and count_ball counts them, so the two agree
-on every ball, ties on the boundary included.
+on every ball, ties on the boundary included.  Both rest on one walk in
+the kernels: it visits the prefixes m_1..m_(N-1) and gives each the range
+of admissible m_N.  enumerate_ball steps through each range and lists the
+twists of every m-vector; count_ball takes the ranges as numpy arrays and
+counts their twists in passes of at most 2^15 terms, which keeps its memory
+bounded at any radius, with the same float operations as the enumeration,
+so the counts agree bit for bit.  A twist bound floor(b / l_i) too large
+for int64 arithmetic makes count_ball raise ArithmeticError rather than
+wrap.
 """
 
 from __future__ import annotations
@@ -153,6 +161,7 @@ def enumerate_ball(
 
 def count_ball(dec: PantsDecomposition, wts: CombWeights, L: float) -> int:
     """Cardinality of enumerate_ball without materializing the stream: the
-    twist vectors of each m-vector are counted in closed form (0 for
-    L <= 0; a NaN or infinite L raises ValueError)."""
+    twist vectors of each m-vector are counted in array passes, the last
+    twist in closed form (0 for L <= 0; a NaN or infinite L raises
+    ValueError, and a twist bound past int64 ArithmeticError)."""
     return _kernels.count_ball(wts.width, wts.length, parity_masks(dec), float(L))

@@ -152,13 +152,18 @@ def piece_volume_product(cut: CutData, table: VolumeTable) -> PiPoly:
 def count_polynomial(cut: CutData, a, kappa, table: VolumeTable) -> PiPoly:
     """P(L, a.γ): exact polynomial in L of degree 6g-6+2n with nonnegative
     coefficients."""
+    return _count_polynomial(cut, a, kappa, piece_volume_product(cut, table))
+
+
+def _count_polynomial(cut: CutData, a, kappa, vol: PiPoly) -> PiPoly:
+    # count_polynomial from the cut's volume product vol, which does not
+    # depend on the weights a: b_from_frequencies builds it once per cut
     kappa = Fraction(kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     a = [Fraction(v) for v in a]
     if len(a) != cut.k:
         raise ValueError("need %d weights" % cut.k)
-    vol = piece_volume_product(cut, table)
     out = PiPoly(1)
     for e2, c in vol.terms.items():
         exps = [2 * v + 1 for v in e2]  # V carries squared variables; x dx adds one
@@ -204,8 +209,9 @@ def b_from_frequencies(
         weights = [[]]
         for _ in range(k):
             weights = [w + [q] for w in weights for q in range(1, cap + 1)]
+        vol = piece_volume_product(cut, table)
         for a in weights:
-            partial = partial + frequency(cut, a, kappa, table)
+            partial = partial + _count_polynomial(cut, a, kappa, vol).coefficient((cut.surface.dim,))
         c_one = float(frequency(cut, [1] * k, kappa, table))
         tail += c_one * k * zeta2f ** (k - 1) / cap
     return partial, tail

@@ -235,8 +235,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for name, table in (("missing", missing), ("bad", bad_table)):
         configs[name] = tmp_path / (name + ".json")
         configs[name].write_text(json.dumps({"volume_table": str(table)}))
-    # the thin threshold and the verify sizes are fixed in code
-    for name, doc in (("epsilon", {"epsilon": 0.1}), ("budgets", {"budgets": {}})):
+    # the thin threshold and the verify sizes are fixed in code, and a seed
+    # or table of the wrong JSON type stops before the run
+    for name, doc in (("epsilon", {"epsilon": 0.1}), ("budgets", {"budgets": {}}),
+                      ("seed_str", {"seed": "abc"}), ("seed_float", {"seed": 1.5}),
+                      ("table_num", {"volume_table": 5})):
         configs[name] = tmp_path / (name + ".json")
         configs[name].write_text(json.dumps(doc))
     cases = [
@@ -261,6 +264,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "unknown config keys: epsilon"),
         (["torus", "mc", "--samples", "4", "--config", str(configs["budgets"])],
          "unknown config keys: budgets"),
+        (["torus", "mc", "--samples", "4", "--config", str(configs["seed_str"])],
+         "config seed must be an integer, got 'abc'"),
+        (["torus", "mc", "--samples", "4", "--config", str(configs["seed_float"])],
+         "config seed must be an integer, got 1.5"),
+        (["torus", "mc", "--samples", "4", "--config", str(configs["table_num"])],
+         "config volume_table must be a path or null, got 5"),
     ]
     for argv, msg in cases:
         assert cli.main(argv) == 2, argv
@@ -325,6 +334,9 @@ def test_degenerate_geometry_exits_3(capsys):
     # "math domain error" and exited 2
     assert cli.main(["torus", "count", "--ell", "40", "--tau", "39.99", "--length", "90"]) == 3
     assert "root traces must lie in (2, inf)" in capsys.readouterr().err
+    # a twist bound of 2e300 is no int64: the lattice count raises, not wraps
+    assert cli.main(["measure", "ball", "--surface", "S11", "--weights", "1,1e-300", "--lengths", "2"]) == 3
+    assert "too large to count in int64" in capsys.readouterr().err
 
 
 def test_verify_single_check_passes(capsys):

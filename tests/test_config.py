@@ -99,6 +99,20 @@ def test_load_config_default_and_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="root must be"):
         load_config(arr)
+    # values of the wrong JSON type: a float or string seed used to raise
+    # TypeError in the Monte Carlo key, and a number was taken as a table
+    typed = tmp_path / "typed.json"
+    for doc, msg in (({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+                     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+                     ({"seed": True}, "seed must be an integer, got True"),
+                     ({"seed": None}, "seed must be an integer, got None"),
+                     ({"volume_table": 5}, "volume_table must be a path or null, got 5"),
+                     ({"volume_table": ["v.txt"]}, "volume_table must be a path or null")):
+        typed.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=msg):
+            load_config(typed)
+    typed.write_text(json.dumps({"seed": 5, "volume_table": None}))
+    assert load_config(typed) == RunConfig(seed=5)
 
 
 def test_replace_keeps_validation():

@@ -1,14 +1,18 @@
-"""The kernels against a reference Fricke-tree walk kept here, and against
-each other: trace_of_slope against the traces the walks list."""
+"""The kernels against reference walks kept here, a Fricke-tree walk and a
+scalar lattice-ball walk, and against each other: trace_of_slope against
+the traces the walks list."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import multicurve
 from multicurve import _kernels
 from multicurve._kernels import _pykernels
+from multicurve.dtlattice import parity_masks
+from multicurve.topology import builtin_surface
 from multicurve.torus import TorusPoint, fn_to_triple
 
 
@@ -255,8 +259,10 @@ def test_backend_identifies_itself():
 
 
 def test_pure_kernel_basics():
-    # S11 unit ball of radius 2 has 6 points
+    # S11 unit ball of radius 2 has 6 points; at an integer radius L it has
+    # L^2 + L, here over 10^7 m-vectors and so over 300 array passes
     assert _pykernels.count_ball((1.0,), (1.0,), (0,), 2.0) == 6
+    assert _pykernels.count_ball((1.0,), (1.0,), (0,), 1e7) == 10**14 + 10**7
     assert _pykernels.count_ball((3.0,), (3.0,), (0,), 2.0) == 0
     assert _pykernels.trace_of_slope(3.0, 3.0, 3.0, 0, 1) == 3.0
     assert _pykernels.trace_of_slope(3.0, 3.0, 3.0, 1, 0) == 3.0
@@ -292,3 +298,155 @@ def test_slopes_upto_lists_count_upto_slopes():
         L = rng.uniform(1.0, 8.0)
         slopes = _pykernels.slopes_upto(tr.x, tr.y, tr.z, L)
         assert len(slopes) == _pykernels.count_upto(tr.x, tr.y, tr.z, L)
+
+
+# --- lattice balls against the scalar walk ---------------------------------
+#
+# The reference is the scalar walk count_ball used before it counted in
+# arrays: one Python step per m-vector and per twist, with the same float
+# operations in the same order.
+
+
+def _oracle_parity_ok(masks, m):
+    for mask in masks:
+        s = 0
+        for b in range(len(m)):
+            if mask >> b & 1:
+                s += m[b]
+        if s & 1:
+            return False
+    return True
+
+
+def _oracle_m_vectors(ws, masks, L, i, cost, m):
+    if i == len(m):
+        yield (), L
+        return
+    w = ws[i]
+    mi = 0
+    if i == len(m) - 1:
+        while cost + mi * w <= L:
+            m[i] = mi
+            if _oracle_parity_ok(masks, m):
+                yield tuple(m), L - (cost + mi * w)
+            mi += 1
+    else:
+        while cost + mi * w <= L:
+            m[i] = mi
+            yield from _oracle_m_vectors(ws, masks, L, i + 1, cost + mi * w, m)
+            mi += 1
+
+
+def _oracle_tcount(ls, zero_m, i, budget):
+    n = len(ls)
+    if i == n:
+        return 1
+    k = math.floor(budget / ls[i])
+    if k < 0:
+        return 0
+    if i == n - 1:
+        return k + 1 if zero_m[i] else 2 * k + 1
+    total = _oracle_tcount(ls, zero_m, i + 1, budget)
+    for t in range(1, k + 1):
+        sub = _oracle_tcount(ls, zero_m, i + 1, budget - t * ls[i])
+        total += sub if zero_m[i] else 2 * sub
+    return total
+
+
+def _oracle_ball(ws, ls, masks, L):
+    """(count_ball, ball_m_vectors) by the scalar walk."""
+    ms = list(_oracle_m_vectors(ws, masks, L, 0, 0.0, [0] * len(ws)))
+    if L <= 0:
+        return 0, ms
+    return sum(_oracle_tcount(ls, [mi == 0 for mi in m], 0, b) for m, b in ms) - 1, ms
+
+
+def _assert_ball_matches(name, ws, ls, L):
+    masks = parity_masks(builtin_surface(name)[1])
+    count, ms = _oracle_ball(ws, ls, masks, L)
+    case = (name, ws, ls, L)
+    assert _pykernels.count_ball(ws, ls, masks, L) == count, case
+    assert list(_pykernels.ball_m_vectors(ws, masks, L)) == ms, case
+
+
+def _sweep_balls(rng):
+    # weights k/10 and k/4, most inexact in binary, and jittered ones; radii
+    # are sums of weights added left to right as the walk adds costs, and
+    # the floats either side, so that points sit on the boundary
+    def weight():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(1, 8) / 10
+        if kind == 1:
+            return rng.randint(1, 8) / 4
+        return rng.randint(1, 8) / 4 * (1.0 + rng.uniform(-0.05, 0.05))
+
+    balls = []
+    while len(balls) < 240:
+        name = rng.choice(("S11", "S04", "S12", "S20"))
+        N = builtin_surface(name)[0].cuff_count
+        ws = tuple(weight() for _ in range(N))
+        ls = tuple(weight() for _ in range(N))
+        L = 0.0
+        for v in rng.choices(ws + ls, k=rng.randint(1, 6)):
+            L += v
+        # volume of the real ball, 2^N L^2N / ((2N)! prod w_i l_i), sizes it
+        if 2**N * L ** (2 * N) / math.factorial(2 * N) / math.prod(ws + ls) > 20000:
+            continue
+        balls += [(name, ws, ls, r) for r in (math.nextafter(L, 0.0), L, math.nextafter(L, math.inf))]
+    return balls
+
+
+def test_count_ball_matches_the_scalar_walk_on_a_seeded_sweep():
+    for ball in _sweep_balls(random.Random(20261018)):
+        _assert_ball_matches(*ball)
+
+
+@pytest.mark.parametrize(
+    "name, ws, ls, L",
+    [
+        # the boundary ties of the closed-forms benchmark (121 and 1080)
+        ("S12", (0.1, 0.1), (0.1, 0.1), 0.6),
+        ("S20", (0.3, 0.7, 2.0), (1.5, 1.3, 2.0), 7.0),
+        # a leaf whose budget rounds below zero
+        ("S12", (1.0, 0.4), (0.1, 0.75), 1.0 + 0.75 + 0.75),
+        # more m-vectors than one array pass holds, and t_1, t_2 expansions
+        # that take more than one
+        ("S11", (0.001,), (1.0,), 40.0),
+        ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 20.0),
+        # one budget whose twists alone fill more than one pass
+        ("S12", (1.0, 1.0), (1e-5, 1.0), 2.0),
+        # leaves near 2^58 whose pass sum is past int64
+        ("S11", (1.0,), (2.0**-45,), 4096.0),
+        # no points, and radii at or below zero
+        ("S11", (3.0,), (3.0,), 2.0),
+        ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 0.0),
+        ("S04", (1.0,), (1.0,), -1.0),
+    ],
+)
+def test_count_ball_matches_the_scalar_walk(name, ws, ls, L):
+    _assert_ball_matches(name, ws, ls, L)
+
+
+def test_count_ball_raises_where_int64_would_overflow():
+    # floor(b / l) here is about 2e300, or 2^62: its count is not an int64,
+    # and the scalar walk's twist loop would never end before the last cuff
+    for ws, ls, masks in (((1.0,), (1e-300,), (0,)), ((1.0, 0.5), (1e-300, 1.0), (2, 2)),
+                          ((1.0,), (2.0**-62,), (0,))):
+        with pytest.raises(ArithmeticError, match="too large to count in int64"):
+            _pykernels.count_ball(ws, ls, masks, 1.0)
+    # below the guard the count is exact: 2^55 + 1 twists at m = 0, and
+    # m = 1 alone, less the zero point
+    assert _pykernels.count_ball((1.0,), (2.0**-55,), (0,), 1.0) == 2**55 + 1
+
+
+def test_count_ball_memory_does_not_grow_with_the_ball():
+    # 2.2e8 points: each array pass holds at most 2^15 terms
+    tracemalloc.start()
+    try:
+        count = _pykernels.count_ball((0.75, 1.5, 2.5), (1.25, 0.5, 1.0), (7, 7), 64.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 223014023
+    assert peak < 8 * 2**20, peak
