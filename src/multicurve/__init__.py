@@ -9,7 +9,7 @@ Library layout:
 - bounds: sandwich and uniform counting bounds for the unit-ball function
 - wpcells: chart-level Weil-Petersson cells, exact integrals, Monte Carlo
 - exactpoly / volumes: exact Q[pi^2] arithmetic and volume tables
-- frequencies: counting polynomials, frequencies, derived statistics
+- frequencies: counting polynomials and frequencies
 - torus: concrete once-punctured-torus geometry (the end-to-end oracle)
 - config / verify / cli: batch front door
 """

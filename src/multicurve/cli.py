@@ -255,12 +255,7 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
             "thin_floor": spec.thin_floor,
         },
         "functional": args.functional,
-        "result": {
-            "estimate": res.estimate,
-            "stderr": res.stderr,
-            "samples": res.samples,
-            "seed": res.seed,
-        },
+        "result": dataclasses.asdict(res),
         "cell_volume": wpcells.cell_volume(spec),
     }
     if kind == "power" and power == 2.0 and spec.thin_floor == 0.0:
@@ -287,7 +282,7 @@ def _builtin_cut(surface: str):
             "no builtin cut with a calibrated kappa for %s (available: %s)"
             % (surface, ", ".join(sorted(frequencies.KAPPA)))
         )
-    return frequencies.BUILTIN_CUTS[surface][0](), frequencies.KAPPA[surface]
+    return frequencies.BUILTIN_CUTS[surface](), frequencies.KAPPA[surface]
 
 
 def cmd_freq_compute(cfg: RunConfig, args) -> int:
@@ -300,7 +295,7 @@ def cmd_freq_compute(cfg: RunConfig, args) -> int:
     if len(wts) != cut.k or any(v < 1 for v in wts):
         raise ConfigError("--weights needs %d positive integers" % cut.k)
     poly = frequencies.count_polynomial(cut, wts, kappa, table)
-    c = frequencies.frequency(cut, wts, kappa, table)
+    c = poly.coefficient((cut.surface.dim,))
     report = frequencies.FrequencyReport(
         p_poly=poly, c_exact=c, c_float=float(c), kappa=Fraction(kappa)
     )
@@ -341,7 +336,10 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
     table = volume_table_load(cfg.volume_table)
     if args.q1 < 1 or args.q2 < 1:
         raise ConfigError("--q1 and --q2 must be positive integers")
-    a = frequencies.PiRat(_parse_rational(args.a, "--a"))
+    a = _parse_rational(args.a, "--a")
+    if a <= 0:
+        raise ConfigError("--a must be positive, got %s" % args.a)
+    a = frequencies.PiRat(a)
     b = frequencies.b_closed_form_s11(kappa)
     c1 = frequencies.frequency(cut, [args.q1], kappa, table)
     c2 = frequencies.frequency(cut, [args.q2], kappa, table)
@@ -450,15 +448,7 @@ def cmd_torus_mc(cfg: RunConfig, args) -> int:
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     res = torus.mc_moduli(functional, args.samples, cfg.seed)
-    doc = {
-        "functional": args.functional,
-        "result": {
-            "estimate": res.estimate,
-            "stderr": res.stderr,
-            "samples": res.samples,
-            "seed": res.seed,
-        },
-    }
+    doc = {"functional": args.functional, "result": dataclasses.asdict(res)}
     _emit(doc, cfg, args.out)
     return 0
 

@@ -44,11 +44,6 @@ class RunConfig:
             raise ConfigError("config volume_table must be a path or null, got %r" % (table,))
         return cls(**d)
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def load_config(path: str | None = None) -> RunConfig:
     """Load a JSON config, or the defaults when no path is given."""

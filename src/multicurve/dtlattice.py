@@ -1,5 +1,5 @@
-"""Dehn-Thurston coordinates: membership, twisting, scaling, combinatorial
-length, and enumeration/counting of lattice points in length balls.
+"""Dehn-Thurston coordinates: membership, combinatorial length, and
+enumeration/counting of lattice points in length balls.
 
 A surface with N cuffs gets coordinates (m_i, t_i), i = 1..N.  Integral
 multicurves form the semigroup of points with m_i >= 0 integers, t_i
@@ -7,7 +7,6 @@ integers, subject to
   (1) m_i = 0  =>  t_i >= 0, and
   (2) for each pair of pants, the m_i over its non-cusp boundary slots
       (counted with multiplicity) sum to an even number.
-Real points (measured laminations) satisfy only (1).
 
 The combinatorial length against per-cuff weights (w_i, l_i) is
   sum_i m_i * w_i + |t_i| * l_i,
@@ -58,22 +57,6 @@ class DTPoint:
 
 
 @dataclass(frozen=True)
-class DTRealPoint:
-    m: tuple  # nonnegative reals
-    t: tuple  # reals
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", tuple(float(v) for v in self.m))
-        object.__setattr__(self, "t", tuple(float(v) for v in self.t))
-        if len(self.m) != len(self.t):
-            raise ValueError("m and t must have equal length")
-        if any(v < 0 for v in self.m):
-            raise ValueError("intersection numbers m_i must be nonnegative")
-        if any(mi == 0 and ti < 0 for mi, ti in zip(self.m, self.t)):
-            raise ValueError("m_i = 0 requires t_i >= 0")
-
-
-@dataclass(frozen=True)
 class CombWeights:
     width: tuple  # w_i > 0, collar widths w(l_i) in the geometric case
     length: tuple  # l_i > 0
@@ -116,21 +99,6 @@ def in_lambda(p: DTPoint, dec: PantsDecomposition) -> bool:
         if sum(p.m[i - 1] for i in dec.region_cuffs(j)) % 2 == 1:
             return False
     return True
-
-
-def twist(p, i: int, k: int):
-    """k-fold Dehn twist along cuff i: t_i -> t_i + k*m_i."""
-    if not (1 <= i <= len(p.m)):
-        raise IndexError("cuff index %d out of range 1..%d" % (i, len(p.m)))
-    t = list(p.t)
-    t[i - 1] = t[i - 1] + k * p.m[i - 1]
-    return type(p)(p.m, tuple(t))
-
-
-def scale(p: DTRealPoint, c: float) -> DTRealPoint:
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    return DTRealPoint(tuple(v * c for v in p.m), tuple(v * c for v in p.t))
 
 
 def comb_length(p, wts: CombWeights) -> float:

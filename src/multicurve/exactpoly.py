@@ -227,16 +227,6 @@ class PiPoly:
     def coefficients_positive(self) -> bool:
         return all(c.coefficients_positive() for c in self.terms.values())
 
-    def map_exponents(self, fn) -> "PiPoly":
-        """Rebuild with exponent tuples transformed by fn (arity may change)."""
-        out = {}
-        nvars = None
-        for e, c in self.terms.items():
-            e2 = tuple(fn(e))
-            nvars = len(e2)
-            out[e2] = out.get(e2, PiRat(0)) + c
-        return PiPoly(self.nvars if nvars is None else nvars, out)
-
     def __str__(self):
         if not self.terms:
             return "0"

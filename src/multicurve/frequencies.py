@@ -1,4 +1,4 @@
-"""Counting polynomials, frequencies, and the derived statistics layer.
+"""Counting polynomials and frequencies.
 
 Averaging the count of a weighted multicurve a.γ over moduli space unfolds
 to an integral over the cut pieces:
@@ -94,8 +94,8 @@ def cut_separating_s04() -> CutData:
 
 
 BUILTIN_CUTS = {
-    "S11": (cut_nonseparating_s11,),
-    "S04": (cut_separating_s04,),
+    "S11": cut_nonseparating_s11,
+    "S04": cut_separating_s04,
 }
 
 # κ per surface, for its builtin cut: S11's khat = 1.0019 +- 0.0053 at
@@ -223,46 +223,10 @@ def b_closed_form_s11(kappa) -> PiRat:
     return PiRat(Fraction(kappa)) * ZETA2 * PiRat(Fraction(1, 2))
 
 
-def joint_frequency(c1, c2, a, b):
-    """c(γ₁, γ₂) = (a/b²)·c(γ₁)·c(γ₂).
-
-    Exact when the inputs are PiRat with monomial b; floats otherwise.
-    """
-    exact = all(isinstance(v, PiRat) for v in (c1, c2, a, b))
-    if exact:
-        b2 = b * b
-        if not b2.is_monomial():
-            exact = False
-    if exact:
-        return a * c1 * c2 / (b * b)
-    fa, fb = float(a), float(b)
-    if fa <= 0 or fb <= 0:
-        raise ValueError("a and b must be positive")
-    return fa / fb**2 * float(c1) * float(c2)
-
-
-def statistics(c1, c2, c12, a, b, m) -> dict:
-    """Expected values, covariance, and the variance of the unit-ball
-    function: E(γ) = c/m, Cov = c₁₂/m - c₁c₂/m², Var = a/m - b²/m²."""
-    exact = all(isinstance(v, PiRat) for v in (c1, c2, c12, a, b, m))
-    if exact and m.is_monomial():
-        m2 = m * m
-        return {
-            "E1": c1 / m,
-            "E2": c2 / m,
-            "Cov": c12 / m - c1 * c2 / m2,
-            "Var": a / m - b * b / m2,
-        }
-    c1, c2, c12 = float(c1), float(c2), float(c12)
-    a, b, m = float(a), float(b), float(m)
-    if m <= 0:
-        raise ValueError("total volume m must be positive")
-    return {
-        "E1": c1 / m,
-        "E2": c2 / m,
-        "Cov": c12 / m - c1 * c2 / m**2,
-        "Var": a / m - b**2 / m**2,
-    }
+def joint_frequency(c1, c2, a, b) -> PiRat:
+    """c(γ₁, γ₂) = (a/b²)·c(γ₁)·c(γ₂), exact in PiRat; b must be a monomial
+    (dividing by any other PiRat raises ZeroDivisionError)."""
+    return a * c1 * c2 / (b * b)
 
 
 def calibrate_kappa(cut: CutData, a, table: VolumeTable, counting_oracle, L: float):
@@ -295,23 +259,11 @@ class FrequencyReport:
     c_exact: PiRat
     c_float: float
     kappa: Fraction
-    b_partial: PiRat | None = None
-    b_tail: float | None = None
-    stats: dict | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "P": str(self.p_poly),
             "c": str(self.c_exact),
             "c_float": self.c_float,
             "kappa": str(self.kappa),
         }
-        if self.b_partial is not None:
-            out["b_partial"] = str(self.b_partial)
-            out["b_partial_float"] = float(self.b_partial)
-            out["b_tail"] = self.b_tail
-        if self.stats is not None:
-            out["stats"] = {
-                key: (str(v), float(v)) for key, v in self.stats.items()
-            }
-        return out

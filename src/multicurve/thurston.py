@@ -38,16 +38,3 @@ def lattice_ball_estimate(dec: PantsDecomposition, wts: CombWeights, L: float) -
     N = dec.surface.cuff_count
     return dtlattice.count_ball(dec, wts, L) / L ** (2 * N)
 
-
-_SCALES = {"muThu", "nuThu"}
-
-
-def normalize(value: float, frm: str, to: str, surface: SurfaceType) -> float:
-    """Convert between the two standard normalizations; they differ by the
-    lattice index 2^(2g-3+n)."""
-    if frm not in _SCALES or to not in _SCALES:
-        raise ValueError("normalizations are %s" % sorted(_SCALES))
-    if frm == to:
-        return value
-    index = 2.0 ** (2 * surface.genus - 3 + surface.punctures)
-    return value * index if to == "nuThu" else value / index

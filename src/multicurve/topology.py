@@ -60,27 +60,6 @@ class PantsDecomposition:
         return tuple(s for s in self.regions[j] if s != CUSP)
 
 
-@dataclass(frozen=True)
-class MulticurveClass:
-    """Topological type of a weighted multicurve: ordered component labels,
-    a reference to the cut description, and positive weights."""
-
-    components: tuple  # component labels, length k
-    cut: object  # cut data consumed by the frequency layer
-    weights: tuple  # positive rationals, one per component
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not (1 <= len(self.components) == len(self.weights)):
-            raise ValueError("need one weight per component, at least one component")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be strictly positive")
-
-    def is_integral(self) -> bool:
-        return all(int(w) == w for w in self.weights)
-
-
 def validate_decomposition(p: PantsDecomposition) -> str | None:
     """Check the combinatorial invariants; return None if ok, else the first
     violated constraint as a short report string."""
@@ -136,20 +115,3 @@ def builtin_surface(name: str) -> tuple[SurfaceType, PantsDecomposition]:
     surf = SurfaceType(g, n)
     return surf, PantsDecomposition(surf, regions)
 
-
-def parse_decomposition(text: str) -> PantsDecomposition:
-    """Parse a decomposition config: first line "g n", then one region triple
-    per line, entries separated by whitespace, cusps written as "*"."""
-    lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("empty decomposition config")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'g n'")
-    g, n = int(head[0]), int(head[1])
-    regions = []
-    for ln in lines[1:]:
-        slots = [CUSP if tok == CUSP else int(tok) for tok in ln.split()]
-        regions.append(tuple(slots))
-    return PantsDecomposition(SurfaceType(g, n), tuple(regions))

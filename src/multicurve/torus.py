@@ -94,9 +94,6 @@ class Slope:
         return "%d/%d" % (self.p, self.q)
 
 
-BASE_SLOPE = Slope(0, 1)
-
-
 def fn_to_triple(X: TorusPoint) -> FrickeTriple:
     try:
         x = 2.0 * math.cosh(X.ell / 2.0)

@@ -12,6 +12,7 @@ seed and the volume table.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -49,6 +50,25 @@ class CheckResult:
         return "[%s] %s: %s (tol %s)" % (tag, self.check_id, self.measured, self.tolerance)
 
 
+_CHECKS = []  # (check id, check), in report order
+
+
+def _check(check_id: str):
+    """Register a check under its id, in report order.  The decorated
+    function returns (passed, measured, tolerance); the registered check
+    returns the CheckResult."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def check(cfg: RunConfig) -> CheckResult:
+            return CheckResult(check_id, *fn(cfg))
+
+        _CHECKS.append((check_id, check))
+        return check
+
+    return register
+
+
 def _fmt(x: float) -> str:
     return "%.6g" % (x,)
 
@@ -56,7 +76,8 @@ def _fmt(x: float) -> str:
 # --- 1 -----------------------------------------------------------------
 
 
-def check_closed_form(cfg: RunConfig) -> CheckResult:
+@_check("thurston-closed-form")
+def check_closed_form(cfg: RunConfig):
     """Lattice count of the combinatorial ball against the closed-form
     measure, on both one-cuff builtins and three weight choices."""
     t0 = time.monotonic()
@@ -77,8 +98,7 @@ def check_closed_form(cfg: RunConfig) -> CheckResult:
     elapsed = time.monotonic() - t0
     ok = worst <= 0.02 and elapsed <= 60.0
     note = "within time budget" if elapsed <= 60.0 else "over time budget (%.1fs)" % elapsed
-    return CheckResult(
-        "thurston-closed-form",
+    return (
         ok,
         "max rel dev %s over S11,S04 x 3 weight choices at L=%g; %s" % (_fmt(worst), L, note),
         "2e-02, 60 s",
@@ -88,7 +108,8 @@ def check_closed_form(cfg: RunConfig) -> CheckResult:
 # --- 2 -----------------------------------------------------------------
 
 
-def check_cell_integrals(cfg: RunConfig) -> CheckResult:
+@_check("cell-exact-integrals")
+def check_cell_integrals(cfg: RunConfig):
     """Exact thin/thick cell factors and Monte Carlo agreement."""
     s11 = SurfaceType(1, 1)
     eps = EPSILON
@@ -112,8 +133,7 @@ def check_cell_integrals(cfg: RunConfig) -> CheckResult:
     devs.append(abs(r.estimate - wpcells.f2_cell_integral(floored)) / r.stderr)
     mc_ok = all(d <= 3.0 for d in devs)
 
-    return CheckResult(
-        "cell-exact-integrals",
+    return (
         exact_ok and mc_ok,
         "thin |err| %s, thick |err| %s; MC devs %s sigma" % (
             _fmt(thin_err), _fmt(thick_err), ", ".join(_fmt(d) for d in devs)),
@@ -124,7 +144,8 @@ def check_cell_integrals(cfg: RunConfig) -> CheckResult:
 # --- 3 -----------------------------------------------------------------
 
 
-def check_square_integrability(cfg: RunConfig) -> CheckResult:
+@_check("square-integrability-witness")
+def check_square_integrability(cfg: RunConfig):
     """F² integrable on every cell; F^2.5 diverges as the floor drops."""
     s11 = SurfaceType(1, 1)
     eps, bers = EPSILON, torus.BERS_11
@@ -135,8 +156,7 @@ def check_square_integrability(cfg: RunConfig) -> CheckResult:
         spec = wpcells.CellSpec(s11, k, eps=eps, bers_bound=bers)
         r = wpcells.f_power_mc(spec, 2.0, n, seed)
         if not math.isfinite(r.estimate):
-            return CheckResult("square-integrability-witness", False,
-                               "F^2 estimate not finite on k=%d cell" % k, "finite, 3 sigma")
+            return False, "F^2 estimate not finite on k=%d cell" % k, "finite, 3 sigma"
         exact = wpcells.f2_cell_integral(spec)
         dev = abs(r.estimate - exact) / r.stderr if r.stderr else abs(r.estimate - exact)
         worst = max(worst, dev)
@@ -149,8 +169,7 @@ def check_square_integrability(cfg: RunConfig) -> CheckResult:
     growth = ladder[-1] / ladder[0]
     ok = worst <= 3.0 and monotone and growth >= 5.0
 
-    return CheckResult(
-        "square-integrability-witness",
+    return (
         ok,
         "F^2 worst dev %s sigma; F^2.5 ladder %s (monotone=%s, growth %sx)" % (
             _fmt(worst), ", ".join(_fmt(v) for v in ladder), monotone, _fmt(growth)),
@@ -168,7 +187,8 @@ def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = EPSILON):
     return [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
 
 
-def check_sandwich(cfg: RunConfig) -> CheckResult:
+@_check("sandwich-bounds")
+def check_sandwich(cfg: RunConfig):
     """Calibrated two-sided bound C1·F <= Bhat <= C2·F, zero violations."""
     consts = Constants(bers_bound=BERS_BOUNDS["S11"])
     eps, c1, c2 = consts.epsilon, consts.c1, consts.c2
@@ -184,8 +204,7 @@ def check_sandwich(cfg: RunConfig) -> CheckResult:
         if not (c1 * F <= B <= c2 * F):
             violations += 1
     ok = violations == 0
-    return CheckResult(
-        "sandwich-bounds",
+    return (
         ok,
         "%d violations on %d samples; Bhat/F in [%s, %s] vs [C1, C2] = [%g, %g]" % (
             violations, len(pts), _fmt(lo_ratio), _fmt(hi_ratio), c1, c2),
@@ -196,7 +215,8 @@ def check_sandwich(cfg: RunConfig) -> CheckResult:
 # --- 5 -----------------------------------------------------------------
 
 
-def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
+@_check("counting-asymptotics")
+def check_counting_asymptotics(cfg: RunConfig):
     """count_s(X,1,L)/L² ~ c(γ)/b · B(X) with hatted inputs."""
     t0 = time.monotonic()
     L = RATIO_L
@@ -216,8 +236,7 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
     elapsed = time.monotonic() - t0
     ok = worst <= 0.1 and elapsed <= 600.0
     note = "within time budget" if elapsed <= 600.0 else "over time budget (%.1fs)" % elapsed
-    return CheckResult(
-        "counting-asymptotics",
+    return (
         ok,
         "worst |ratio-1| %s over %d points at L=%g; %s" % (
             _fmt(worst), points, L, note),
@@ -228,7 +247,8 @@ def check_counting_asymptotics(cfg: RunConfig) -> CheckResult:
 # --- 6 -----------------------------------------------------------------
 
 
-def check_uniform_bound(cfg: RunConfig) -> CheckResult:
+@_check("uniform-count-bound")
+def check_uniform_bound(cfg: RunConfig):
     """count_s(X,k,L)/L² below the explicit bound and below C(X)/k²."""
     consts = Constants(bers_bound=BERS_BOUNDS["S11"])
     surf = SurfaceType(1, 1)
@@ -255,8 +275,7 @@ def check_uniform_bound(cfg: RunConfig) -> CheckResult:
                     scaling_viol += 1
                 worst_frac = max(worst_frac, val / upper)
     ok = explicit_viol == 0 and scaling_viol == 0
-    return CheckResult(
-        "uniform-count-bound",
+    return (
         ok,
         "%d explicit and %d scaling violations on %d points x %d (k,L) pairs; "
         "max count/bound %s" % (
@@ -269,7 +288,8 @@ def check_uniform_bound(cfg: RunConfig) -> CheckResult:
 # --- 7 -----------------------------------------------------------------
 
 
-def check_frequency_exactness(cfg: RunConfig) -> CheckResult:
+@_check("frequency-exactness")
+def check_frequency_exactness(cfg: RunConfig):
     """Symbolic counting polynomial, partial-sum tails, joint sum identity."""
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
@@ -296,8 +316,7 @@ def check_frequency_exactness(cfg: RunConfig) -> CheckResult:
     joint_ok = frequencies.joint_frequency(closed, closed, a_sym, closed) == a_sym
 
     ok = sym_ok and tails_ok and joint_ok
-    return CheckResult(
-        "frequency-exactness",
+    return (
         ok,
         "P(L,q·γ) symbolic=%s; partial-sum gaps %s within tails=%s; "
         "joint sum identity exact=%s" % (
@@ -309,7 +328,8 @@ def check_frequency_exactness(cfg: RunConfig) -> CheckResult:
 # --- 8 -----------------------------------------------------------------
 
 
-def check_moduli_chain(cfg: RunConfig) -> CheckResult:
+@_check("moduli-chain")
+def check_moduli_chain(cfg: RunConfig):
     """Volume, b, a and the joint product, all from the torus backend."""
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
@@ -362,8 +382,7 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
     j_ok = j_dev <= 0.15
     parts.append("joint rel dev %s" % _fmt(j_dev))
 
-    return CheckResult(
-        "moduli-chain",
+    return (
         vol_ok and b_ok and a_ok and j_ok,
         "; ".join(parts),
         "3 sigma; 5%/10%; CoV 10%; 15%",
@@ -373,7 +392,8 @@ def check_moduli_chain(cfg: RunConfig) -> CheckResult:
 # --- 9 -----------------------------------------------------------------
 
 
-def check_determinism(cfg: RunConfig) -> CheckResult:
+@_check("determinism")
+def check_determinism(cfg: RunConfig):
     """Reruns on the same seed never change a result bit."""
     n = 2000
     f = lambda X: torus.b_hat(X, 40.0)
@@ -386,8 +406,7 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
     w2 = wpcells.f_power_mc(spec, 2.0, 5000, cfg.seed)
     cells_ok = (w1.estimate, w1.stderr) == (w2.estimate, w2.stderr)
 
-    return CheckResult(
-        "determinism",
+    return (
         moduli_ok and cells_ok,
         "moduli rerun identical: %s; cell rerun identical: %s; backend %s (single backend)"
         % (moduli_ok, cells_ok, BACKEND),
@@ -395,29 +414,8 @@ def check_determinism(cfg: RunConfig) -> CheckResult:
     )
 
 
-ALL_CHECKS = (
-    check_closed_form,
-    check_cell_integrals,
-    check_square_integrability,
-    check_sandwich,
-    check_counting_asymptotics,
-    check_uniform_bound,
-    check_frequency_exactness,
-    check_moduli_chain,
-    check_determinism,
-)
-
-CHECK_IDS = (
-    "thurston-closed-form",
-    "cell-exact-integrals",
-    "square-integrability-witness",
-    "sandwich-bounds",
-    "counting-asymptotics",
-    "uniform-count-bound",
-    "frequency-exactness",
-    "moduli-chain",
-    "determinism",
-)
+CHECK_IDS = tuple(cid for cid, _ in _CHECKS)
+ALL_CHECKS = tuple(check for _, check in _CHECKS)
 
 
 def run_suite(cfg: RunConfig, only=None) -> list:

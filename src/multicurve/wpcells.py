@@ -189,18 +189,3 @@ def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
     vals = w.prod(axis=1) * thick**spec.thick_count
     return mc_result(vals, 1.0, seed)
 
-
-def sample_pants_gluing(surface: SurfaceType, L: float, count: int, seed: int):
-    """Random pants gluings: cuff lengths uniform on the simplex
-    {sum l_i <= L, l_i > 0}, twists uniform in [0, l_i)."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = _rng(seed, 0x917E)
-    N = surface.cuff_count
-    gammas = rng.standard_exponential((count, N + 1))
-    gammas = np.maximum(gammas, np.finfo(float).tiny)
-    ells = L * gammas[:, :N] / gammas.sum(axis=1, keepdims=True)
-    taus = ells * rng.random((count, N))
-    yield from FNPoint.from_draws(ells, taus)

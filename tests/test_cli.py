@@ -251,6 +251,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "[Errno 2] No such file or directory: %r" % str(missing)),
         (["freq", "joint", "--config", str(configs["bad"])],
          "volume table line 1: bad token 'x' in term 'x'"),
+        # a second moment is positive: a <= 0 gives no joint frequency
+        (["freq", "joint", "--a=-1/2", "--cap", "3"], "--a must be positive, got -1/2"),
+        (["freq", "joint", "--a", "0", "--cap", "3"], "--a must be positive, got 0"),
         (["bounds", "eval", "--lengths", "-0.5"],
          "cuff lengths must be strictly positive and finite"),
         (["bounds", "eval", "--lengths", "3.0"],

@@ -81,7 +81,7 @@ def test_from_dict_rejects_unknown_keys():
 def test_save_and_load(tmp_path):
     path = tmp_path / "run.json"
     cfg = RunConfig(seed=99, volume_table="vols.txt")
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     loaded = load_config(path)
     assert loaded == cfg
     assert loaded.seed == 99 and loaded.volume_table == "vols.txt"

@@ -1,5 +1,5 @@
-"""Coordinate lattice of multicurves: membership, twists, combinatorial
-length, and ball enumeration against a brute-force box scan."""
+"""Coordinate lattice of multicurves: membership, combinatorial length, and
+ball enumeration against a brute-force box scan."""
 
 import itertools
 import math
@@ -11,14 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 from multicurve.dtlattice import (
     CombWeights,
     DTPoint,
-    DTRealPoint,
     comb_length,
     count_ball,
     enumerate_ball,
     in_lambda,
     parity_masks,
-    scale,
-    twist,
 )
 from multicurve.thurston import lattice_ball_estimate
 from multicurve.topology import builtin_surface
@@ -57,10 +54,6 @@ def test_point_validation():
         DTPoint((1,), (2, 3))
     with pytest.raises(ValueError):
         DTPoint((-1,), (0,))
-    # real points additionally enforce the half-plane condition up front
-    with pytest.raises(ValueError):
-        DTRealPoint((0.0,), (-0.5,))
-    assert DTRealPoint((0.0,), (0.5,)).t == (0.5,)
 
 
 def test_weights_validation():
@@ -96,40 +89,6 @@ def test_in_lambda_examples():
     assert not in_lambda(DTPoint((3,), (-2,)), s04)
     with pytest.raises(ValueError):
         in_lambda(DTPoint((1, 0), (0, 0)), s04)
-
-
-def test_twist_action():
-    p = DTPoint((2, 1), (0, -3))
-    q = twist(p, 1, 3)
-    assert q.m == (2, 1) and q.t == (6, -3)
-    # twisting a zero-intersection cuff is a no-op
-    r = DTPoint((0, 1), (4, 0))
-    assert twist(r, 1, 7) == r
-    with pytest.raises(IndexError):
-        twist(p, 3, 1)
-    with pytest.raises(IndexError):
-        twist(p, 0, 1)
-
-
-@given(
-    st.lists(st.integers(0, 9), min_size=1, max_size=3),
-    st.integers(-5, 5),
-)
-def test_twist_round_trip(ms, k):
-    ts = [2 * v - 5 for v in ms]  # any integers work as twists when m > 0
-    p = DTPoint(tuple(ms), tuple(ts))
-    i = 1
-    assert twist(twist(p, i, k), i, -k) == p
-
-
-def test_scale_and_linearity():
-    p = DTRealPoint((1.0, 0.5), (2.0, -0.25))
-    q = scale(p, 2.0)
-    assert q.m == (2.0, 1.0) and q.t == (4.0, -0.5)
-    wts = CombWeights((0.7, 1.3), (1.1, 0.9))
-    assert comb_length(q, wts) == pytest.approx(2.0 * comb_length(p, wts), rel=1e-15)
-    with pytest.raises(ValueError):
-        scale(p, 0.0)
 
 
 def test_comb_length_values():

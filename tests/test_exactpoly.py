@@ -158,17 +158,6 @@ def test_pipoly_coefficients_positive():
     assert not (p + PiPoly.monomial((2,), -1)).coefficients_positive()
 
 
-def test_pipoly_map_exponents():
-    # collapse two variables onto one by summing exponents
-    p = PiPoly.monomial((1, 2), 3) + PiPoly.monomial((2, 1), 4)
-    q = p.map_exponents(lambda e: (sum(e),))
-    assert q.nvars == 1
-    assert q.coefficient((3,)) == 7
-    # arity-preserving permutation
-    r = p.map_exponents(lambda e: (e[1], e[0]))
-    assert r.coefficient((2, 1)) == 3
-
-
 def test_pipoly_str():
     p = PiPoly.monomial((1, 0), Fraction(1, 24)) + PiPoly.constant(
         2, PiRat.pi2(1, Fraction(1, 6))

@@ -23,7 +23,6 @@ from multicurve.frequencies import (
     joint_frequency,
     piece_volume_product,
     simplex_monomial_integral,
-    statistics,
 )
 from multicurve.topology import CUSP, SurfaceType
 from multicurve.volumes import parse_volume_table, volume_table_load
@@ -230,22 +229,6 @@ def test_joint_frequency_exact():
     assert joint == joint_frequency(c2, c1, a, b)
 
 
-def test_joint_frequency_float_fallback():
-    # non-monomial b forces the float path
-    b = PiRat(1) + PiRat.pi2(1, Fraction(1, 12))
-    joint = joint_frequency(PiRat(Fraction(1, 2)), PiRat(Fraction(1, 8)), PiRat(Fraction(9, 20)), b)
-    assert isinstance(joint, float)
-    assert joint == pytest.approx(0.45 / float(b) ** 2 / 16, rel=1e-14)
-    # plain floats work too
-    assert joint_frequency(0.5, 0.125, 0.45, 2.0) == pytest.approx(
-        0.45 / 4 * 0.5 * 0.125
-    )
-    with pytest.raises(ValueError):
-        joint_frequency(0.5, 0.125, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        joint_frequency(0.5, 0.125, 0.45, 0.0)
-
-
 def test_joint_identity_partial_sums():
     # summing joint frequencies over weights q1, q2 <= cap approaches
     # a·(partial/b)² with equality coefficient-wise in the cap limit
@@ -270,43 +253,6 @@ def test_joint_identity_partial_sums():
         assert ratio == pytest.approx(1.0, rel=1e-12)
         assert float(total) > prev
         prev = float(total)
-
-
-def test_statistics_exact():
-    m = TABLE.m_value(1, 1)  # π²/6
-    c1 = frequency(cut_nonseparating_s11(), [1], 1, TABLE)
-    c2 = frequency(cut_nonseparating_s11(), [2], 1, TABLE)
-    a = PiRat(Fraction(9, 20))
-    b = b_closed_form_s11(1)
-    c12 = joint_frequency(c1, c2, a, b)
-    out = statistics(c1, c2, c12, a, b, m)
-    assert out["E1"] == PiRat.pi2(-1, 3)
-    assert out["E2"] == PiRat.pi2(-1, Fraction(3, 4))
-    assert out["Cov"] == PiRat.pi2(-3, Fraction(243, 10)) - PiRat.pi2(
-        -2, Fraction(9, 4)
-    )
-    assert out["Var"] == PiRat.pi2(-1, Fraction(27, 10)) - PiRat(Fraction(1, 4))
-    assert float(out["E1"]) == pytest.approx(0.3039635509270133, rel=1e-14)
-    assert float(out["E2"]) == pytest.approx(0.07599088773175333, rel=1e-14)
-    assert float(out["Cov"]) == pytest.approx(0.002177463728049462, rel=1e-12)
-    assert float(out["Var"]) == pytest.approx(0.023567195834311994, rel=1e-12)
-    # positive correlation between disjoint-type counts, and Var > Cov here
-    assert float(out["Cov"]) > 0
-    assert float(out["Var"]) > float(out["Cov"])
-
-
-def test_statistics_float_path():
-    out = statistics(0.5, 0.125, 0.04, 0.45, 0.82, 1.64)
-    assert out["E1"] == pytest.approx(0.5 / 1.64)
-    assert out["Var"] == pytest.approx(0.45 / 1.64 - 0.82**2 / 1.64**2)
-    with pytest.raises(ValueError, match="positive"):
-        statistics(0.5, 0.125, 0.04, 0.45, 0.82, 0.0)
-    # degenerate case: a = b² / m makes Var vanish
-    m = PiRat(2)
-    b = PiRat(3)
-    a = b * b / m
-    out = statistics(PiRat(1), PiRat(1), PiRat(1), a, b, m)
-    assert out["Var"] == PiRat(0)
 
 
 @dataclass
@@ -336,22 +282,5 @@ def test_frequency_report_as_dict():
     cut = cut_nonseparating_s11()
     p = count_polynomial(cut, [1], 1, TABLE)
     c = frequency(cut, [1], 1, TABLE)
-    partial, tail = b_from_frequencies(SurfaceType(1, 1), [(cut, 1)], TABLE, 4)
-    rep = FrequencyReport(
-        p_poly=p,
-        c_exact=c,
-        c_float=float(c),
-        kappa=Fraction(1),
-        b_partial=partial,
-        b_tail=tail,
-    )
-    d = rep.as_dict()
-    assert d["P"] == "1/2*x0^2"
-    assert d["c"] == "1/2"
-    assert d["c_float"] == 0.5
-    assert d["kappa"] == "1"
-    assert d["b_partial_float"] == pytest.approx(float(partial))
-    assert d["b_tail"] == tail
-    assert "stats" not in d
-    rep2 = FrequencyReport(p_poly=p, c_exact=c, c_float=0.5, kappa=Fraction(1))
-    assert "b_partial" not in rep2.as_dict()
+    rep = FrequencyReport(p_poly=p, c_exact=c, c_float=float(c), kappa=Fraction(1))
+    assert rep.as_dict() == {"P": "1/2*x0^2", "c": "1/2", "c_float": 0.5, "kappa": "1"}

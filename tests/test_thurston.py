@@ -6,11 +6,7 @@ import pytest
 
 from multicurve.dtlattice import CombWeights
 from multicurve.hypfun import collar_width
-from multicurve.thurston import (
-    comb_ball_measure,
-    lattice_ball_estimate,
-    normalize,
-)
+from multicurve.thurston import comb_ball_measure, lattice_ball_estimate
 from multicurve.topology import builtin_surface
 
 
@@ -96,21 +92,3 @@ def test_lattice_error_decays_like_one_over_L():
     for L in (50.0, 100.0, 200.0, 400.0):
         bounds.append(L * abs(lattice_ball_estimate(dec, wts, L) - target))
     assert max(bounds) < 4.0
-
-
-def test_normalize():
-    surf, _ = builtin_surface("S11")
-    # 2g-3+n = 0: the two scales agree
-    assert normalize(3.7, "muThu", "nuThu", surf) == 3.7
-    s04, _ = builtin_surface("S04")
-    # index 2^1 = 2
-    assert normalize(1.0, "muThu", "nuThu", s04) == 2.0
-    assert normalize(2.0, "nuThu", "muThu", s04) == 1.0
-    s20, _ = builtin_surface("S20")
-    v = normalize(5.0, "muThu", "nuThu", s20)
-    assert normalize(v, "nuThu", "muThu", s20) == pytest.approx(5.0, rel=1e-15)
-    assert normalize(1.25, "muThu", "muThu", s20) == 1.25
-    with pytest.raises(ValueError):
-        normalize(1.0, "mu", "nuThu", surf)
-    with pytest.raises(ValueError):
-        normalize(1.0, "muThu", "lebesgue", surf)

@@ -4,11 +4,9 @@ import pytest
 
 from multicurve.topology import (
     CUSP,
-    MulticurveClass,
     PantsDecomposition,
     SurfaceType,
     builtin_surface,
-    parse_decomposition,
     validate_decomposition,
 )
 
@@ -122,31 +120,3 @@ def test_validate_region_count_and_cusps():
 def test_constructor_rejects_invalid_decomposition():
     with pytest.raises(ValueError, match="invalid pants decomposition"):
         PantsDecomposition(SurfaceType(1, 1), ((1, CUSP, CUSP),))
-
-
-def test_parse_decomposition_round_trip():
-    text = "1 1\n1 1 *\n"
-    dec = parse_decomposition(text)
-    assert dec.surface == SurfaceType(1, 1)
-    assert dec.regions == ((1, 1, CUSP),)
-
-
-def test_parse_decomposition_errors():
-    with pytest.raises(ValueError):
-        parse_decomposition("")
-    with pytest.raises(ValueError):
-        parse_decomposition("1 1\n1 1\n")  # region with 2 slots
-    with pytest.raises(ValueError):
-        parse_decomposition("x y\n1 1 *\n")
-
-
-def test_multicurve_class_weights():
-    cls = MulticurveClass(("a",), None, (2,))
-    assert cls.is_integral()
-    assert not MulticurveClass(("a",), None, (0.5,)).is_integral()
-    with pytest.raises(ValueError):
-        MulticurveClass(("a",), None, (0,))
-    with pytest.raises(ValueError):
-        MulticurveClass((), None, ())
-    with pytest.raises(ValueError):
-        MulticurveClass(("a", "b"), None, (1,))

@@ -19,7 +19,6 @@ from multicurve.wpcells import (
     mc_integrate,
     mc_result,
     sample_cell,
-    sample_pants_gluing,
 )
 
 S11 = builtin_surface("S11")[0]
@@ -225,36 +224,6 @@ def test_sample_cell_distributions():
     assert np.mean(frac) == pytest.approx(0.5, abs=0.03)
 
 
-def test_sample_pants_gluing_simplex():
-    pts = list(sample_pants_gluing(S20, 6.0, 4000, SEED))
-    sums = [sum(fn.lengths) for fn in pts]
-    assert max(sums) <= 6.0
-    # sum of N coordinates of a uniform simplex point has mean L·N/(N+1)
-    expected = 6.0 * 3 / 4
-    se = np.std(sums, ddof=1) / math.sqrt(len(sums))
-    assert abs(np.mean(sums) - expected) < 3 * se
-    for fn in pts[:100]:
-        for ell, tau in zip(fn.lengths, fn.twists):
-            assert ell > 0 and 0 <= tau < ell
-
-
-def test_sample_pants_gluing_marginal_uniformity():
-    # with one cuff the simplex is just (0, L]: lengths uniform
-    pts = list(sample_pants_gluing(S11, 2.0, 4000, SEED))
-    ells = [fn.lengths[0] / 2.0 for fn in pts]
-    assert stats.kstest(ells, "uniform").pvalue > 0.01
-
-
-def test_sample_pants_gluing_validation_and_determinism():
-    a = [fn.lengths for fn in sample_pants_gluing(S12, 3.0, 50, SEED)]
-    b = [fn.lengths for fn in sample_pants_gluing(S12, 3.0, 50, SEED)]
-    assert a == b
-    with pytest.raises(ValueError):
-        next(sample_pants_gluing(S12, 0.0, 5, SEED))
-    with pytest.raises(ValueError):
-        next(sample_pants_gluing(S12, 3.0, 0, SEED))
-
-
 # --- the sampling layer against the per-row construction it replaced ------
 #
 # The references below read the same draws one numpy row (or scalar) at a
@@ -271,14 +240,6 @@ def ref_mc_result(values, volume, seed):
 
 def ref_points(ells, taus):
     return [FNPoint(tuple(ells[i]), tuple(taus[i])) for i in range(len(ells))]
-
-
-def ref_pants_draws(surface, L, count, seed):
-    rng = wpcells._rng(seed, 0x917E)
-    N = surface.cuff_count
-    gammas = np.maximum(rng.standard_exponential((count, N + 1)), np.finfo(float).tiny)
-    ells = L * gammas[:, :N] / gammas.sum(axis=1, keepdims=True)
-    return ells, ells * rng.random((count, N))
 
 
 def ref_mc_integrate(f, spec, count, seed):
@@ -322,13 +283,6 @@ def test_sample_cell_is_the_per_row_construction(spec):
     for count, seed in ((1, SEED), (300, SEED + 1), (3000, 981)):
         ref = ref_points(*wpcells._draw_cell(spec, count, seed))
         assert point_bits(sample_cell(spec, count, seed)) == point_bits(ref)
-
-
-@pytest.mark.parametrize("surface", [S11, S12, S20])
-def test_sample_pants_gluing_is_the_per_row_construction(surface):
-    for count, seed in ((1, SEED), (3000, 982)):
-        ref = ref_points(*ref_pants_draws(surface, 3.0, count, seed))
-        assert point_bits(sample_pants_gluing(surface, 3.0, count, seed)) == point_bits(ref)
 
 
 @pytest.mark.parametrize("spec", CELLS)
