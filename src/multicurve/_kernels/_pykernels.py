@@ -36,6 +36,24 @@ _count_walk gives the argument.  count_multi evaluates floor(L / length)
 only near its thresholds: a trace safely inside the band where that floor
 is 1 adds 1, one inside the band where it is 2 adds 2, both without an
 acosh, and every other trace takes the exact formula.
+
+A thin walk, where x or y is shorter than L/1024, runs the spines of that
+short root and their side subtrees in arrays; by the collar lemma at most
+one root is that short.  A spine s' = t*s - s_prev with fixed end t is
+iterated in a tight loop and recorded in segments of at most 4096 traces;
+each segment's side children are one array expression s[1:]*s[:-1] - t,
+kept where <= tmax.  The side children then walk their own left spines in
+lockstep, as float64 arrays of at most 4096 lanes: count the lanes, emit
+the right children that are <= tmax as the next generation, step, and
+drop the lanes above tmax.  A lane set under 64 goes back to the scalar
+stack.  Past the last side child below tmax the spine is counted without
+being recorded, by a loop that only steps and compares inside the band
+where the floor is 1.  Every trace comes from the same IEEE operation on the
+same operands as in the scalar loop, and a child is dropped exactly when
+the scalar loop drops it, so the nodes counted are the scalar walk's.
+count_multi reads each floor from the intervals of _band for k = 1, 2, ...
+and takes the exact formula at the traces outside them, as the scalar loop
+does: both paths share one floor rule, and no vector acosh enters.
 """
 
 from __future__ import annotations
@@ -339,10 +357,33 @@ def _band(L, k):
     return _NO_BAND
 
 
-def _count_walk(x, y, z, L, tmax, band1, band2):
-    """Sum over slopes with trace <= tmax of floor(L / length), where a
-    trace strictly inside band1 adds 1 and one strictly inside band2 adds 2
-    without evaluating its length.
+# Thin walks: where a root trace x or y is below 2*cosh(L / (2*_SHORT)),
+# the trace of length L/_SHORT, the spines whose fixed end it is take the
+# array path.  By the collar lemma at most one curve of a punctured torus
+# is that short.  On point-queries (seed 1501) the 640 count walks took
+# 0.425, 0.418, 0.408 and 0.426 s at L/256, L/512, L/1024 and L/2048; at
+# L/256 walks with ell between L/1024 and L/256 ran up to 1.5x slower
+# (ell = 0.03, L = 20: 0.111 -> 0.162 ms), as spines that short pay the
+# array set-up.  At L/1024 moduli-mc's Bers-box walks at L <= 80 stay on
+# the scalar loop but for the ~0.2% of samples with ell < L/1024.
+_SHORT = 1024
+# Most traces of one recorded spine segment, and most lanes of one lockstep
+# array, so that memory does not grow with the walk.  A process running
+# point-queries' 640 count walks (seed 1501) peaked at 29.9 MB resident,
+# against 31.2 MB with the scalar loop alone and 34.8 MB with unbounded
+# segments and lane sets.  On its 108 thin walks 1024 ran 6% slower than
+# 4096 and 2048-8192 within 3% of it, while the heaviest walk's
+# tracemalloc peak doubles with each doubling: 716 KB at 4096.
+_SEGMENT = 4096
+# Fewest lanes a lockstep step runs on; a smaller lane set goes back to the
+# scalar stack.  On point-queries' thin walks 16, 32 and 64 ran within 1.3%
+# of each other, 128 and 256 2% and 4% slower than 64.
+_LANES = 64
+
+
+def _count_walk(x, y, z, L, tmax, multi):
+    """Sum over slopes with trace <= tmax of floor(L / length) when multi
+    is true, else their number.
 
     Phase 1 walks from the roots with the kernels' pruning rule until an
     edge's mediant exceeds both its ends.  That edge was visited, so all
@@ -351,20 +392,23 @@ def _count_walk(x, y, z, L, tmax, band1, band2):
     above tmax is above both its ends: the rule reduces to c <= tmax, and
     every node visited is counted.
 
-    Phase 2 also closes spine pairs.  Take a node (tl, tr, tm) with tm above
-    gate = max(lo1, sqrt(tmax)), both ends >= 2 and below tm, and both cross
-    grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and cr)
-    above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
-    down the left from (s_prev, s) = (tr, tm), and s' = s*tr - s_prev down
-    the right from (tl, tm).  Float rounding is monotone, so from
-    s_prev <= s and a fixed trace t >= 2 it follows that
-    fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
-    decrease, each cross child further down is at least the first one and
-    is pruned as the walk would prune it, and each spine stops at its first
-    trace above tmax.  Spine traces are above lo1, so they take the band-1
-    test s < hi1 alone.  The gate only spares the test at nodes that seldom
-    pass it; exactness rests on the other conditions."""
+    Phase 2 runs in _close, the scalar loop, unless the walk is thin: x or
+    y shorter than L/_SHORT.  Then the phase-2 edges whose fixed end is
+    that root (left end x, else right end y) are taken off the stack first
+    and walked by _spine in arrays.  Their subtrees hold the root's two
+    spines (slopes 1/k and -1/k for x, k/1 and -k/1 for y) and the side
+    subtrees hanging off them: nearly all of a thin walk.  The array path
+    makes every trace by the same IEEE operation on the same operands as
+    the scalar loop (a*b and b*a are the same float) and drops a child
+    exactly when the scalar loop does, when it is above tmax; so it counts
+    the same set of nodes, only in another order, and each with the floor
+    the scalar loop gives it.  Which edges take the array path decides only
+    the speed.  Walks with no short root never leave the scalar loop."""
     acosh, floor = math.acosh, math.floor
+    if multi:
+        band1, band2 = _band(L, 1), _band(L, 2)
+    else:
+        band1, band2 = (-math.inf, math.inf), _NO_BAND
     lo, hi = band1
     lo2, hi2 = band2
     n = 0
@@ -406,6 +450,44 @@ def _count_walk(x, y, z, L, tmax, band1, band2):
                     tr, tm = tm, c
                 else:
                     break
+    short = 2.0 * math.cosh(L / (2.0 * _SHORT))
+    if x < short or y < short:
+        # the edges whose fixed end is the short root, x on the left or else
+        # y on the right
+        t, end = (x, 0) if x < short else (y, 1)
+        spines = [edge for edge in grow if edge[end] == t]
+        if spines:
+            grow = [edge for edge in grow if edge[end] != t]
+            floors = _floors(L, min(tm for _, _, tm in spines), band1, band2) if multi else None
+            for edge in spines:
+                n += _spine(t, edge[1 - end], edge[2], L, tmax, band1, band2, floors)
+    return n + _close(grow, L, tmax, band1, band2)
+
+
+def _close(grow, L, tmax, band1, band2):
+    """Sum of floor(L / length) over the nodes of the subtrees below the
+    phase-2 edges on the stack grow, a trace strictly inside band1 adding 1
+    and one strictly inside band2 adding 2; grow ends empty.
+
+    Each popped node is counted, its right child stacked and its left child
+    walked next, a child above tmax being dropped.  The loop also closes
+    spine pairs.  Take a node (tl, tr, tm) with tm above
+    gate = max(lo1, sqrt(tmax)), both ends >= 2 and below tm, and both cross
+    grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and cr)
+    above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
+    down the left from (s_prev, s) = (tr, tm), and s' = s*tr - s_prev down
+    the right from (tl, tm).  Float rounding is monotone, so from
+    s_prev <= s and a fixed trace t >= 2 it follows that
+    fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
+    decrease, each cross child further down is at least the first one and
+    is pruned as the walk would prune it, and each spine stops at its first
+    trace above tmax.  Spine traces are above lo1, so they take the band-1
+    test s < hi1 alone.  The gate only spares the test at nodes that seldom
+    pass it; exactness rests on the other conditions."""
+    acosh, floor = math.acosh, math.floor
+    lo, hi = band1
+    lo2, hi2 = band2
+    n = 0
     gate = max(lo, math.sqrt(tmax))
     pop, push = grow.pop, grow.append
     while grow:
@@ -444,6 +526,167 @@ def _count_walk(x, y, z, L, tmax, band1, band2):
     return n
 
 
+def _floors(L, s, band1, band2):
+    """(edges, values) from which _tally reads floor(L / length) for traces
+    from s up, with the bands k = floor(L / length(s)), ..., 1.
+
+    edges is the sorted array [nextafter(lo_k, inf), hi_k, ...], so that
+    np.searchsorted(edges, t, "right") is odd exactly when lo_k < t < hi_k,
+    and values at that index is k; at an even index values holds 0 and t
+    takes the exact formula.  A band _band finds empty is left out, so its
+    traces take the exact formula."""
+    edges, values = [], [0]
+    for k in range(math.floor(L / (2.0 * math.acosh(s / 2.0))), 0, -1):
+        lo, hi = band1 if k == 1 else band2 if k == 2 else _band(L, k)
+        if lo < hi:
+            edges += [math.nextafter(lo, math.inf), hi]
+            values += [k, 0]
+    return np.array(edges), np.array(values)
+
+
+def _tally(t, L, floors):
+    """Sum of floor(L / length) over the traces t, or their number where
+    floors is None: a trace inside a band takes the band's k, every other
+    one the exact formula the scalar walk evaluates."""
+    if floors is None:
+        return len(t)
+    edges, values = floors
+    i = np.searchsorted(edges, t, "right")
+    n = int(values[i].sum())
+    acosh, floor = math.acosh, math.floor
+    for v in t[(i & 1) == 0].tolist():
+        n += floor(L / (2.0 * acosh(v / 2.0)))
+    return n
+
+
+def _climb(t, a, s, L, tmax, band1):
+    """Sum over the spine s' = t*s - a from s to its last trace <= tmax of
+    floor(L / length), 1 inside band1, for a spine whose side children are
+    all above tmax.
+
+    A spine node whose length is at most L/2 has a side child no longer
+    than L, so past the last side child below tmax the spine lies in
+    band 1 but for the traces near its ends.  The spine never decreases
+    (see _close): the traces below band 1 take the exact formula, the run
+    inside it is counted by a loop that only steps and compares, and the
+    traces above it take the exact formula again.  The argument only makes
+    the exact loops short; any trace outside band 1 takes the exact
+    formula."""
+    acosh, floor = math.acosh, math.floor
+    top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
+    lo, hi = band1
+    start, stop = min(math.nextafter(lo, math.inf), top), min(hi, top)
+    n = 0
+    while s < start:
+        n += floor(L / (2.0 * acosh(s / 2.0)))
+        a, s = s, t * s - a
+    while s < stop:  # two steps to a loop pass
+        a = t * s - a
+        if not a < stop:
+            n += 1
+            a, s = s, a
+            break
+        s = t * a - s
+        n += 2
+    while s < top:
+        n += floor(L / (2.0 * acosh(s / 2.0)))
+        a, s = s, t * s - a
+    return n
+
+
+def _spine(t, a, s, L, tmax, band1, band2, floors):
+    """Sum over the subtree below the phase-2 edge (t, a, s) or (a, t, s),
+    whose fixed end is the short trace t, as _close would count it.
+
+    The spine s' = t*s - s_prev is iterated in a tight loop and recorded in
+    segments of at most _SEGMENT traces, each segment keeping its
+    predecessor in front.  A spine node (t, a_i, s_i) has the side child
+    (s_i, a_i, s_i*a_i - t) on the right, a node (a_i, t, s_i) the side
+    child (a_i, s_i, a_i*s_i - t) on the left: for a segment the traces are
+    one array expression s[1:]*s[:-1] - t.  The subtrees below (l, r, m)
+    and (r, l, m) are mirror images with the same traces (l*m = m*l), so
+    either spine hands its side children to _lockstep as (s_i, a_i, c).
+    Side children above tmax are dropped, and the rest expanded before the
+    next segment is recorded.
+
+    With t > 2 and a < s, as at every phase-2 edge, the spine and its side
+    children never decrease (see _close), so once a side child is above
+    tmax every later one is, and _climb counts the rest of the spine.  A
+    spine s_k = A*lam^k + B*lam^-k with A, B > 0 and lam + 1/lam = t, as
+    every spine is on the cusp identity, has s_(k-1) >= s_k/lam, so its
+    side children die near s = sqrt(lam*(tmax + t)): recording stops there
+    and the side child is tested.  If it is still <= tmax, the spine is
+    recorded to its end.  The test decides where _climb starts, never what
+    is counted."""
+    lam = (t + math.sqrt(t * t - 4.0)) / 2.0
+    cut = min(tmax, math.sqrt(lam * (tmax + t)))
+    n = 0
+    while True:
+        # s <= tmax is the next spine node and a its predecessor
+        if s > cut:
+            if s * a - t > tmax:
+                return n + _climb(t, a, s, L, tmax, band1)
+            cut = tmax
+        seg = [a, s]
+        app = seg.append
+        # two steps to a loop pass, as in _climb
+        for _ in range(_SEGMENT // 2 - 1):
+            a = t * s - a
+            if not a <= cut:
+                a, s = s, a
+                break
+            app(a)
+            s = t * a - s
+            if not s <= cut:
+                break
+            app(s)
+        else:
+            a, s = s, t * s - a
+        # past L = 709 a product of two traces can overflow: it is inf and
+        # dropped, as in the scalar loop, which does not warn
+        with np.errstate(over="ignore"):
+            trace = np.fromiter(seg, np.float64, len(seg))
+            spine, prev = trace[1:], trace[:-1]
+            n += _tally(spine, L, floors)
+            side = spine * prev - t
+            keep = side <= tmax
+            n += _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
+        if not s <= tmax:
+            return n
+
+
+def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
+    """Sum over the subtrees below the edges (tl[i], tr[i], tm[i]), all
+    with tm <= tmax, as _close would count them.
+
+    The lanes walk their left spines in lockstep: each step counts tm,
+    emits the right children tm*tr - tl that are <= tmax as the next
+    generation, steps tm to tl*tm - tr and drops the lanes above tmax.  A
+    lane set under _LANES lanes goes to the scalar stack unchanged, and the
+    next generation is expanded the same way in sets of at most _SEGMENT
+    lanes."""
+    n = 0
+    small = []
+    pending = [(tl, tr, tm)]
+    while pending:
+        tl, tr, tm = pending.pop()
+        kids = []
+        while len(tm) >= _LANES:
+            n += _tally(tm, L, floors)
+            c = tm * tr - tl
+            keep = c <= tmax
+            kids.append((tm[keep], tr[keep], c[keep]))
+            tr, tm = tm, tl * tm - tr
+            keep = tm <= tmax
+            tl, tr, tm = tl[keep], tr[keep], tm[keep]
+        small += zip(tl.tolist(), tr.tolist(), tm.tolist())
+        if kids:
+            tl, tr, tm = (np.concatenate(col) for col in zip(*kids))
+            for i in range(0, len(tm), _SEGMENT):
+                pending.append((tl[i:i + _SEGMENT], tr[i:i + _SEGMENT], tm[i:i + _SEGMENT]))
+    return n + _close(small, L, tmax, band1, band2)
+
+
 def slopes_upto(x, y, z, L):
     """All slopes with length <= L as (p, q, trace) triples, sorted by
     (trace, q, p)."""
@@ -474,12 +717,11 @@ def slopes_upto(x, y, z, L):
 def count_upto(x, y, z, L):
     """Number of slopes with length <= L."""
     _check_roots(x, y, z)
-    return _count_walk(x, y, z, L, _trace_bound(L), (-math.inf, math.inf), _NO_BAND)
+    return _count_walk(x, y, z, L, _trace_bound(L), False)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
     i.e. sum over slopes of floor(L / length)."""
     _check_roots(x, y, z)
-    tmax = _trace_bound(L)
-    return _count_walk(x, y, z, L, tmax, _band(L, 1), _band(L, 2))
+    return _count_walk(x, y, z, L, _trace_bound(L), True)

@@ -346,14 +346,13 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
     c12 = frequencies.joint_frequency(c1, c2, a, b)
     if args.cap < 1:
         raise ConfigError("--cap must be at least 1")
-    # partial double sum of the identity  sum c(q1 g, q2 g) = a
-    singles = [
-        frequencies.frequency(cut, [q], kappa, table) for q in range(1, args.cap + 1)
-    ]
-    total = frequencies.PiRat(0)
-    for u in singles:
-        for v in singles:
-            total = total + frequencies.joint_frequency(u, v, a, b)
+    # partial double sum of the identity  sum c(q1 g, q2 g) = a over
+    # q1, q2 <= cap: joint_frequency is bilinear in its marginals, so the
+    # sum is joint_frequency(S, S, a, b) with S the sum of the singles
+    singles = frequencies.PiRat(0)
+    for q in range(1, args.cap + 1):
+        singles = singles + frequencies.frequency(cut, [q], kappa, table)
+    total = frequencies.joint_frequency(singles, singles, a, b)
     doc = {
         "q1": args.q1,
         "q2": args.q2,

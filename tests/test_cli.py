@@ -3,12 +3,14 @@
 import json
 import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from multicurve import cli
+from multicurve import cli, frequencies
 from multicurve.config import RunConfig
+from multicurve.volumes import volume_table_load
 
 
 def run_json(capsys, argv):
@@ -152,6 +154,25 @@ def test_freq_joint(capsys):
     assert doc["identity_partial_float"] <= doc["identity_target_float"]
     assert doc["identity_target_float"] == 0.45
     assert doc["b"] == "1/12*pi^2"
+
+
+def test_freq_joint_identity_partial_is_the_double_sum(capsys):
+    # the command sums the identity as joint_frequency(S, S, a, b) with S
+    # the sum of the single frequencies; the double sum over weight pairs
+    # gives the same bytes
+    cap = 6
+    doc = run_json(capsys, ["freq", "joint", "--q1", "2", "--q2", "3", "--a", "7/5",
+                            "--cap", str(cap)])
+    cut, kappa = cli._builtin_cut("S11")
+    table = volume_table_load(None)
+    a, b = frequencies.PiRat(Fraction(7, 5)), frequencies.b_closed_form_s11(kappa)
+    singles = [frequencies.frequency(cut, [q], kappa, table) for q in range(1, cap + 1)]
+    total = frequencies.PiRat(0)
+    for u in singles:
+        for v in singles:
+            total = total + frequencies.joint_frequency(u, v, a, b)
+    assert doc["identity_partial"] == str(total)
+    assert doc["identity_partial_float"] == float(total)
 
 
 def test_torus_count(capsys):

@@ -5,6 +5,7 @@ the traces the walks list."""
 import math
 import random
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -13,7 +14,7 @@ from multicurve import _kernels
 from multicurve._kernels import _pykernels
 from multicurve.dtlattice import parity_masks
 from multicurve.topology import builtin_surface
-from multicurve.torus import TorusPoint, fn_to_triple
+from multicurve.torus import TorusPoint, count_b, count_s, fn_to_triple
 
 
 def _oracle_walk(x, y, z, tmax, visit):
@@ -165,6 +166,141 @@ def test_pure_walks_match_oracle_on_a_seeded_sweep():
             assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
             calls += 2
     assert calls >= 5000
+
+
+# --- the thin walks' array path ---------------------------------------------
+#
+# Where a root trace is shorter than L/1024, its spines are recorded in
+# segments and their side subtrees expanded in lockstep arrays.  The
+# reference walk above knows nothing of either.
+
+
+def _spy(monkeypatch, *names):
+    """The argument tuples of every call to the named _pykernels helpers,
+    which the kernels look up in the module at each call."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, f=getattr(_pykernels, name), seen=calls[name]):
+            seen.append(args)
+            return f(*args)
+        monkeypatch.setattr(_pykernels, name, wrapper)
+    return calls
+
+
+def _assert_counts_match(triple, radii):
+    for L in radii:
+        upto, multi, _ = _oracle(*triple, L)
+        assert _pykernels.count_upto(*triple, L) == upto, (triple, L)
+        assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
+
+
+def _spine_tie_radii(triple, slopes, ks):
+    # L = k * length of slopes 1/j on the base curve's spine, and the floats
+    # either side: there the slope sits on count_multi's k-th threshold
+    out = []
+    for j in slopes:
+        length = 2.0 * math.acosh(_pykernels.trace_of_slope(*triple, 1, j) / 2.0)
+        for k in ks:
+            out += [math.nextafter(k * length, 0.0), k * length, math.nextafter(k * length, math.inf)]
+    return out
+
+
+def test_array_path_matches_oracle_over_several_spine_segments(monkeypatch):
+    # ell = 1e-3, L = 50: each base spine has 9798 traces with side
+    # children below tmax, three segments' worth.  At the tie radii the
+    # slopes 1/100 and 1/1000 (length 16.6 and 16.8) sit on the threshold
+    # of floor 3, and 1/20000 (length 35.2) on that of floor 1, in the part
+    # of the spine past its last side child
+    calls = _spy(monkeypatch, "_spine", "_lockstep", "_floors")
+    triple = _triple(TorusPoint(1e-3, 0.37e-3))
+    _assert_counts_match(triple, [50.0] + _spine_tie_radii(triple, (100, 1000), (3,))
+                         + _spine_tie_radii(triple, (20000,), (1,)))
+    at_50 = [args for args in calls["_lockstep"] if args[3] == 50.0]
+    assert len(at_50) >= 3 * sum(args[3] == 50.0 for args in calls["_spine"]) > 0
+    # count_multi reads floors from bands k = 1..3
+    assert max(math.floor(L / (2.0 * math.acosh(s / 2.0))) for L, s, _, _ in calls["_floors"]) == 3
+
+
+def test_array_path_matches_oracle_where_bands_past_3_apply():
+    # ell = 1e-2, L = 60: the base spine starts at length 12.0, so floors
+    # up to 5 come from bands; the tie radii put the root slopes 1/0 and
+    # 1/1 on thresholds 1 to 3, and the spine slopes 1/10 and 1/300 on
+    # thresholds 3 and 4
+    X = TorusPoint(1e-2, 0.3e-2)
+    triple = _triple(X)
+    radii = [40.0, 60.0] + _tie_radii(X, 60.0) + _spine_tie_radii(triple, (10, 300), (3, 4))
+    _assert_counts_match(triple, radii)
+
+
+def test_array_path_matches_oracle_with_more_lanes_than_one_array_holds(monkeypatch):
+    # ell = 3e-3, L = 80: more side children than one lane array holds,
+    # and a next generation of lanes larger than _SEGMENT, split into lane
+    # sets of _SEGMENT lanes (a spine segment gives at most _SEGMENT - 1)
+    calls = _spy(monkeypatch, "_lockstep", "_tally")
+    _assert_counts_match(_triple(TorusPoint(3e-3, 0.37 * 3e-3)), [80.0])
+    assert sum(len(args[2]) for args in calls["_lockstep"]) > 2 * _pykernels._SEGMENT
+    assert _pykernels._SEGMENT in [len(args[0]) for args in calls["_tally"]]
+
+
+def test_array_path_is_mirror_symmetric(monkeypatch):
+    # (y, x, z) is the mirror image of the tree of (x, y, z), and every trace
+    # in it the same float (a*b = b*a), so the counts agree; the base curve
+    # is then the right end, and its spines are the right spines
+    calls = _spy(monkeypatch, "_spine")
+    for ell, L in ((1e-3, 50.0), (3e-3, 80.0), (1e-2, 60.0)):
+        x, y, z = _triple(TorusPoint(ell, 0.37 * ell))
+        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+            calls["_spine"].clear()
+            assert kernel(y, x, z, L) == kernel(x, y, z, L), (ell, L, kernel)
+            # the mirrored walk's spine edges (y, x, z) and (y, x, xy - z),
+            # then the direct walk's (x, y, z) and (x, y, xy - z)
+            assert [args[:2] for args in calls["_spine"]] == [(x, y)] * 4
+
+
+def test_array_path_overflows_to_inf_silently_as_the_scalar_loop_does():
+    # past L = 709 tmax is above 1.3e154, so a product of two traces can
+    # pass the float range: inf, then dropped as above tmax, in arrays as in
+    # Python floats, and without numpy's overflow warning
+    triple = _triple(TorusPoint(0.5, 0.185))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_counts_match(triple, [750.0])
+
+
+def test_array_path_runs_at_thin_points_only(monkeypatch):
+    # moduli-mc's hot loop stays on the scalar walk: Bers-box points with
+    # ell >= L/1024 never reach the array helpers at L = 80, the boundary
+    # ell = 80/1024 included, while a thin point does
+    calls = _spy(monkeypatch, "_spine", "_lockstep", "_climb", "_tally", "_floors")
+    rng = random.Random(80)
+    points = [TorusPoint(80.0 / 1024, 0.0), TorusPoint(80.0 / 1024, 0.04)]
+    for _ in range(24):
+        ell = rng.uniform(80.0 / 1024, 1.93)
+        points.append(TorusPoint(ell, rng.uniform(0.0, ell)))
+    for X in points:
+        count_s(X, 1, 80.0)
+        count_b(X, 80.0)
+    assert not any(calls.values())
+    count_b(TorusPoint(1e-3, 0.0), 20.0)
+    assert calls["_spine"] and calls["_climb"]
+
+
+def test_thin_walk_memory_does_not_grow_with_the_radius():
+    # ell = 1e-4: from L = 40 to 60 count_multi grows from 0.8 to 1.8
+    # million, and the scalar loop alone peaked at 12 MB at L = 60, its
+    # stack holding a side child per spine node.  Spine segments and lane
+    # arrays of at most 4096 floats hold the peak under 1 MB.  The counts
+    # are the scalar loop's.
+    tr = fn_to_triple(TorusPoint(1e-4, 0.37e-4))
+    for L, count in ((40.0, 803859), (60.0, 1811577)):
+        tracemalloc.start()
+        try:
+            n = _pykernels.count_multi(tr.x, tr.y, tr.z, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == count, L
+        assert peak < 2**20, (L, peak)
 
 
 def _unit_band_before(L):
