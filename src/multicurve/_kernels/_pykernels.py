@@ -23,7 +23,8 @@ the tree walks raise ArithmeticError: such a ball never ends, and such a
 trace bound would prune nothing.  The tree walks also raise ArithmeticError
 when a root trace x or y, or a mediant root z or x*y - z, is at most 2 or
 not finite: from a trace of 2 a spine s' = t*s - s_prev never grows, and
-below 2 a length is undefined.
+below 2 a length is undefined.  count_upto and count_multi raise it too when
+a trace inside the walk falls there, as it can off the cusp identity.
 
 count_upto and count_multi share one walk in two phases.  Phase 1 applies
 the pruning rule from the roots until an edge's mediant exceeds both its
@@ -54,13 +55,15 @@ the scalar loop drops it, so the nodes counted are the scalar walk's.
 count_multi reads each floor from the intervals of _band for k = 1, 2, ...
 and takes the exact formula at the traces outside them, as the scalar loop
 does: both paths share one floor rule, and no vector acosh enters.
+
+numpy is imported inside the functions that build arrays, not with the
+module: importing it is about 0.18 s of a 0.40 s start-up, and most
+commands never reach an array.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 BACKEND = "pure"
 
@@ -175,6 +178,8 @@ def ball_m_vectors(ws, masks, L):
 def _chunks(counts):
     """(rep, t) pairs covering t = 0..counts[r]-1 for every row r, at most
     _PASS_TERMS terms each: rep is the row of each term and t its twist."""
+    import numpy as np
+
     small = np.flatnonzero(counts <= _PASS_TERMS)
     c = counts[small]
     cs = np.cumsum(c)  # at most _PASS_TERMS^2: no overflow
@@ -198,6 +203,8 @@ def _tcounts(ls, b, wt, nz, i=0):
     rule.  Bit j of nz is set where m_(j+1) != 0, which doubles each nonzero
     t_(j+1).  Twists before the last are expanded, <= _PASS_TERMS terms at
     a time; the last takes its closed form k + 1 or 2k + 1."""
+    import numpy as np
+
     n = len(ls)
     k = np.floor(b / ls[i])
     keep = k >= 0  # b - t*l for t = floor(b/l) can round below zero
@@ -227,6 +234,8 @@ def _count_rows(pieces, step, L, w, ls):
     """Twist-vector count of the m-vectors in pieces, (cost, start, count,
     nz) slices of a prefix's m_N range with the prefix's cost and nonzero
     bits, by _tcounts on the budgets L - (cost + m_N w)."""
+    import numpy as np
+
     cost, start, count, nz = (np.array(col) for col in zip(*pieces))
     rows = np.arange(int(count.sum()))
     ms = np.repeat(start - step * (np.cumsum(count) - count), count) + step * rows
@@ -535,6 +544,8 @@ def _floors(L, s, band1, band2):
     and values at that index is k; at an even index values holds 0 and t
     takes the exact formula.  A band _band finds empty is left out, so its
     traces take the exact formula."""
+    import numpy as np
+
     edges, values = [], [0]
     for k in range(math.floor(L / (2.0 * math.acosh(s / 2.0))), 0, -1):
         lo, hi = band1 if k == 1 else band2 if k == 2 else _band(L, k)
@@ -548,6 +559,8 @@ def _tally(t, L, floors):
     """Sum of floor(L / length) over the traces t, or their number where
     floors is None: a trace inside a band takes the band's k, every other
     one the exact formula the scalar walk evaluates."""
+    import numpy as np
+
     if floors is None:
         return len(t)
     edges, values = floors
@@ -618,6 +631,8 @@ def _spine(t, a, s, L, tmax, band1, band2, floors):
     and the side child is tested.  If it is still <= tmax, the spine is
     recorded to its end.  The test decides where _climb starts, never what
     is counted."""
+    import numpy as np
+
     lam = (t + math.sqrt(t * t - 4.0)) / 2.0
     cut = min(tmax, math.sqrt(lam * (tmax + t)))
     n = 0
@@ -665,6 +680,8 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
     lane set under _LANES lanes goes to the scalar stack unchanged, and the
     next generation is expanded the same way in sets of at most _SEGMENT
     lanes."""
+    import numpy as np
+
     n = 0
     small = []
     pending = [(tl, tr, tm)]
@@ -714,14 +731,28 @@ def slopes_upto(x, y, z, L):
     return out
 
 
+def _count(x, y, z, L, multi):
+    """_count_walk from checked roots and bound.  Off the cusp identity a
+    trace inside the walk can fall to 2 or below even when the roots pass
+    the check; acosh then raises ValueError, which is raised again as
+    ArithmeticError.  One handler around the whole walk costs no node
+    anything."""
+    _check_roots(x, y, z)
+    tmax = _trace_bound(L)
+    try:
+        return _count_walk(x, y, z, L, tmax, multi)
+    except ValueError as err:
+        raise ArithmeticError(
+            "a trace inside the walk from x=%r y=%r z=%r at L=%r is at most 2 or not finite"
+            % (x, y, z, L)) from err
+
+
 def count_upto(x, y, z, L):
     """Number of slopes with length <= L."""
-    _check_roots(x, y, z)
-    return _count_walk(x, y, z, L, _trace_bound(L), False)
+    return _count(x, y, z, L, False)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
     i.e. sum over slopes of floor(L / length)."""
-    _check_roots(x, y, z)
-    return _count_walk(x, y, z, L, _trace_bound(L), True)
+    return _count(x, y, z, L, True)

@@ -2,11 +2,12 @@
 
 Work is split into fixed chunks and results are written back by index, so
 the output is identical for any thread count; only wall time changes.
+The pool is imported only where threads > 1 asks for it: a serial map,
+which is what every command runs, need not load concurrent.futures at
+start-up.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 CHUNK = 256
 
@@ -18,6 +19,7 @@ def ordered_map(fn, items, threads: int = 1) -> list:
         for i, item in enumerate(items):
             out[i] = fn(item)
         return out
+    from concurrent.futures import ThreadPoolExecutor
 
     def run(span):
         lo, hi = span

@@ -28,14 +28,16 @@ keeping points where the base curve realizes the systole and weighting by
 symmetry factor enters: a 400² grid quadrature of the weighted systole
 indicator over the box gives 1.644844, against π²/6 = 1.644934, the
 volume of the moduli space in the bundled table.
+
+numpy is imported by sample_bers_box, the one function here that builds
+arrays: importing it is about 0.18 s of a 0.40 s start-up, and the
+single-point commands (`torus count`, `torus spectrum`) never need it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .hypfun import TORUS_MAX_SYSTOLE
@@ -217,6 +219,8 @@ def _systole_weight(X: TorusPoint):
 def sample_bers_box(samples: int, seed: int):
     """Points of the box {0 < ell <= BERS_11, 0 <= tau < ell} with density
     d(ell) d(tau); vectorized and seed-deterministic."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x70B5]))
     u = rng.random(samples)
     v = rng.random(samples)

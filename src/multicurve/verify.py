@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import bounds, frequencies, thurston, torus, wpcells
 from ._kernels import BACKEND
 from .config import RunConfig
@@ -181,6 +179,8 @@ def check_square_integrability(cfg: RunConfig):
 
 
 def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = EPSILON):
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _THIN_STREAM]))
     ells = np.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random(count))
     taus = ells * rng.random(count)

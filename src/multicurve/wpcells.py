@@ -15,15 +15,16 @@ genuine moduli averages come from the torus backend's fundamental domain.
 
 Draws are made as numpy arrays and reach the code that uses them as Python
 floats: each batch of lengths is validated once (FNPoint.from_draws), not
-point by point, and mc_result reads numpy arrays in bounded chunks.
+point by point, and mc_result reads numpy arrays in bounded chunks.  numpy
+is imported by the functions that draw or read arrays, not with the module:
+importing it is about 0.18 s of a 0.40 s start-up, which a command that
+draws nothing need not pay.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .hypfun import EPSILON, TORUS_MAX_SYSTOLE, FNPoint, chunked_tolist, r_weight
 from .runpar import ordered_map
@@ -65,6 +66,8 @@ class MCResult:
 
 def _floats(values):
     """The values as Python floats; a numpy array is read in bounded chunks."""
+    import numpy as np
+
     return chunked_tolist(values) if isinstance(values, np.ndarray) else values
 
 
@@ -106,13 +109,18 @@ def f_on_cell(spec: CellSpec, fn: FNPoint) -> float:
     return out
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
+def _rng(seed: int, stream: int):
+    """numpy Generator on the Philox stream keyed by (seed, stream)."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
 
 
 def _draw_cell(spec: CellSpec, count: int, seed: int):
     """Vectorized cell sample: lengths with density l on their ranges (the
     twist integral), twists uniform in [0, l)."""
+    import numpy as np
+
     rng = _rng(seed, 0xCE11)
     N = spec.surface.cuff_count
     u = rng.random((count, N))
@@ -167,6 +175,8 @@ def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
     Thick cuffs and all twists integrate out exactly.  Fully vectorized and
     seed-deterministic; thread counts never enter.
     """
+    import numpy as np
+
     if count < 2:
         raise ValueError("need at least 2 samples for an error estimate")
     if power > 2 and spec.thin_floor == 0 and spec.thin_count > 0:

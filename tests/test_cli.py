@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -320,6 +323,33 @@ def test_readme_commands_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[2:])
         assert callable(args.run), line
+
+
+_NO_ARRAYS = """
+import contextlib, io, json, sys
+import multicurve.cli
+heavy = ("numpy", "scipy", "concurrent.futures")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for argv in (["freq", "sum-b", "--surface", "S11", "--cap", "10"],
+             ["torus", "count", "--ell", "1.28", "--tau", "-0.96", "--length", "9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert multicurve.cli.main(argv) == 0, argv
+    loaded[argv[1]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_arrays_start_without_numpy():
+    # numpy is about 0.18 s of a 0.40 s start-up, and the thread pool and
+    # scipy are never needed by a serial command: a fresh interpreter that
+    # imports the command line and runs commands that build no array loads
+    # none of them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NO_ARRAYS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": [], "sum-b": [], "count": []}
 
 
 def test_non_finite_numbers_exit_2(capsys):

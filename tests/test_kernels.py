@@ -376,6 +376,18 @@ def test_pure_walks_reject_roots_at_or_below_2():
     _assert_pure_walks_match((2.0000001, 5.0, 5.0), [5.0])
 
 
+def test_pure_walks_raise_arithmetic_error_where_a_trace_inside_falls_to_2():
+    # off the cusp identity a trace below the roots can fall to 2 or below
+    # although all four roots pass the check; acosh raised a bare
+    # ValueError there, which the command line maps to exit 2, not 3
+    for roots, L in (((2.01, 1e80, 1.5e80), 1400.0), ((2.1, 10.0, 2.2), 5.0)):
+        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+            with pytest.raises(ArithmeticError, match="inside the walk") as info:
+                kernel(*roots, L)
+            assert not isinstance(info.value, ValueError)
+            assert "L=%r" % (L,) in str(info.value)
+
+
 def test_lattice_ball_kernels_reject_non_finite_radius():
     # a NaN radius would count -1 points, and an infinite one would never end
     for L in (math.nan, math.inf, -math.inf):
