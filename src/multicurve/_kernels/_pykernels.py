@@ -33,28 +33,34 @@ phase 2 tests a child against the bound alone and closes each node whose
 subtree is two spines (a fixed end, and s' = t*s - s_prev) in two tight
 loops.  Float rounding is monotone, so a spine from ends >= 2 never
 decreases and the nodes it skips are exactly those the rule would prune;
-_count_walk gives the argument.  count_multi evaluates floor(L / length)
+_close gives the argument.  count_multi evaluates floor(L / length)
 only near its thresholds: a trace safely inside the band where that floor
 is 1 adds 1, one inside the band where it is 2 adds 2, both without an
 acosh, and every other trace takes the exact formula.
 
-A thin walk, where x or y is shorter than L/1024, runs the spines of that
-short root and their side subtrees in arrays; by the collar lemma at most
-one root is that short.  A spine s' = t*s - s_prev with fixed end t is
-iterated in a tight loop and recorded in segments of at most 4096 traces;
-each segment's side children are one array expression s[1:]*s[:-1] - t,
-kept where <= tmax.  The side children then walk their own left spines in
+A thin walk is one where x or y is shorter than L/1024 and the spines of
+that short root hold at least 64 traces <= tmax; by the collar lemma at
+most one root is that short.  It runs those spines and their side subtrees
+in arrays, and tallies both numbers at once: the slope count and the sum
+of floor(L / length).  The last pair is kept, so count_upto and count_multi
+called at one (x, y, z, L), as `torus count` calls them, walk once in
+either order.  A spine s' = t*s - s_prev with fixed end t is iterated in a
+tight loop and recorded in segments of at most 4096 traces; each
+segment's side children are one array expression s[1:]*s[:-1] - t, kept
+where <= tmax.  The side children then walk their own left spines in
 lockstep, as float64 arrays of at most 4096 lanes: count the lanes, emit
 the right children that are <= tmax as the next generation, step, and
-drop the lanes above tmax.  A lane set under 64 goes back to the scalar
-stack.  Past the last side child below tmax the spine is counted without
-being recorded, by a loop that only steps and compares inside the band
-where the floor is 1.  Every trace comes from the same IEEE operation on the
-same operands as in the scalar loop, and a child is dropped exactly when
-the scalar loop drops it, so the nodes counted are the scalar walk's.
-count_multi reads each floor from the intervals of _band for k = 1, 2, ...
-and takes the exact formula at the traces outside them, as the scalar loop
-does: both paths share one floor rule, and no vector acosh enters.
+drop the lanes above tmax.  A lane set under 64, or a segment under 64
+traces, goes back to the scalar stack without numpy's set-up.  Past the
+last side child below tmax the spine is counted without being recorded,
+by a loop that only steps and compares inside the band where the floor is
+1.  Every trace comes from the same IEEE operation on the same operands as
+in the scalar loop, and a child is dropped exactly when the scalar loop
+drops it, so the nodes counted are the scalar walk's.  count_multi reads
+each floor from the intervals of _band for k = 1, 2, ... and takes the
+exact formula at the traces outside them, as the scalar loop does: both
+paths share one floor rule, and no vector acosh enters.  Every other walk
+runs the scalar loop alone and tallies the one number asked for.
 
 numpy is imported inside the functions that build arrays, not with the
 module: importing it is about 0.18 s of a 0.40 s start-up, and most
@@ -63,6 +69,7 @@ commands never reach an array.
 
 from __future__ import annotations
 
+import functools
 import math
 
 BACKEND = "pure"
@@ -343,6 +350,9 @@ _BAND_MARGIN = 1e-6
 
 _NO_BAND = (math.inf, -math.inf)
 
+# (band1, band2) of count_upto: every trace inside band1, so each node adds 1
+_UNIT_BANDS = ((-math.inf, math.inf), _NO_BAND)
+
 
 def _band(L, k):
     """Open trace interval (lo, hi) on which floor(L / (2*acosh(t/2))) is k.
@@ -384,40 +394,21 @@ _SHORT = 1024
 # 4096 and 2048-8192 within 3% of it, while the heaviest walk's
 # tracemalloc peak doubles with each doubling: 716 KB at 4096.
 _SEGMENT = 4096
-# Fewest lanes a lockstep step runs on; a smaller lane set goes back to the
-# scalar stack.  On point-queries' thin walks 16, 32 and 64 ran within 1.3%
-# of each other, 128 and 256 2% and 4% slower than 64.
+# Fewest lanes a lockstep step runs on, and fewest traces of a recorded
+# spine segment that take the array path; a smaller lane set or segment
+# goes back to the scalar stack.  A walk whose short root's spines hold
+# fewer traces <= tmax is not thin.  On point-queries' thin walks 16, 32
+# and 64 lanes ran within 1.3% of each other, 128 and 256 2% and 4% slower
+# than 64.
 _LANES = 64
 
 
-def _count_walk(x, y, z, L, tmax, multi):
-    """Sum over slopes with trace <= tmax of floor(L / length) when multi
-    is true, else their number.
-
-    Phase 1 walks from the roots with the kernels' pruning rule until an
-    edge's mediant exceeds both its ends.  That edge was visited, so all
-    three of its traces are <= tmax, and it goes to the phase-2 stack.  In
-    its subtree every visited node keeps both ends <= tmax, so a child c
-    above tmax is above both its ends: the rule reduces to c <= tmax, and
-    every node visited is counted.
-
-    Phase 2 runs in _close, the scalar loop, unless the walk is thin: x or
-    y shorter than L/_SHORT.  Then the phase-2 edges whose fixed end is
-    that root (left end x, else right end y) are taken off the stack first
-    and walked by _spine in arrays.  Their subtrees hold the root's two
-    spines (slopes 1/k and -1/k for x, k/1 and -k/1 for y) and the side
-    subtrees hanging off them: nearly all of a thin walk.  The array path
-    makes every trace by the same IEEE operation on the same operands as
-    the scalar loop (a*b and b*a are the same float) and drops a child
-    exactly when the scalar loop does, when it is above tmax; so it counts
-    the same set of nodes, only in another order, and each with the floor
-    the scalar loop gives it.  Which edges take the array path decides only
-    the speed.  Walks with no short root never leave the scalar loop."""
+def _phase1(x, y, z, L, tmax, band1, band2):
+    """(n, grow) for phase 1 of a walk: n sums floor(L / length) over the
+    roots x, y and the nodes phase 1 visits, a trace strictly inside band1
+    adding 1 and one strictly inside band2 adding 2, and grow lists the
+    phase-2 edges (t_left, t_right, t_mediant) it stops at."""
     acosh, floor = math.acosh, math.floor
-    if multi:
-        band1, band2 = _band(L, 1), _band(L, 2)
-    else:
-        band1, band2 = (-math.inf, math.inf), _NO_BAND
     lo, hi = band1
     lo2, hi2 = band2
     n = 0
@@ -429,13 +420,11 @@ def _count_walk(x, y, z, L, tmax, multi):
                 n += 2
             else:
                 n += floor(L / (2.0 * acosh(t / 2.0)))
-    # (t_left, t_right, t_mediant) of visited phase-2 nodes not yet expanded
     grow = []
     for zroot in (z, x * y - z):
         if zroot > tmax and zroot > x and zroot > y:
             continue
-        # phase 1: the walk descends into the left child and stacks the
-        # right one
+        # the walk descends into the left child and stacks the right one
         stack = [(x, y, zroot)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -459,18 +448,41 @@ def _count_walk(x, y, z, L, tmax, multi):
                     tr, tm = tm, c
                 else:
                     break
-    short = 2.0 * math.cosh(L / (2.0 * _SHORT))
-    if x < short or y < short:
-        # the edges whose fixed end is the short root, x on the left or else
-        # y on the right
-        t, end = (x, 0) if x < short else (y, 1)
-        spines = [edge for edge in grow if edge[end] == t]
-        if spines:
-            grow = [edge for edge in grow if edge[end] != t]
-            floors = _floors(L, min(tm for _, _, tm in spines), band1, band2) if multi else None
-            for edge in spines:
-                n += _spine(t, edge[1 - end], edge[2], L, tmax, band1, band2, floors)
-    return n + _close(grow, L, tmax, band1, band2)
+    return n, grow
+
+
+@functools.lru_cache(maxsize=1)
+def _thin_walk(x, y, z, L, tmax):
+    """(count_upto, count_multi) for a thin walk (see _count): the number
+    of slopes with trace <= tmax and the sum of their floor(L / length).
+    The last pair is kept, so the two kernels called at one (x, y, z, L)
+    walk once, in either order; an error is raised again on every call,
+    never kept.
+
+    The phase-2 edges whose fixed end is the short root t, the shorter of
+    x and y (left end x, else right end y), are walked by _spine in arrays.
+    Their subtrees hold the root's two spines (slopes 1/k and -1/k for x,
+    k/1 and -k/1 for y) and the side subtrees hanging off them: nearly all
+    of a thin walk.  The array path makes every trace by the same IEEE
+    operation on the same operands as the scalar loop (a*b and b*a are the
+    same float) and drops a child exactly when the scalar loop does, when
+    it is above tmax; so it counts the same set of nodes, only in another
+    order, and each with the floor the scalar loop gives it.  Which edges
+    take the array path decides only the speed.  What the scalar loop
+    walks, the subtrees below the other phase-2 edges, short segments and
+    small lane sets, _close_pair walks once for both numbers.  Phase 1, a
+    few nodes at a thin point, runs once for each."""
+    band1, band2 = _band(L, 1), _band(L, 2)
+    count, grow = _phase1(x, y, z, L, tmax, *_UNIT_BANDS)
+    total, _ = _phase1(x, y, z, L, tmax, band1, band2)
+    t, end = (x, 0) if x <= y else (y, 1)
+    n, m = _close_pair([edge for edge in grow if edge[end] != t], L, tmax, band1, band2)
+    count, total = count + n, total + m
+    for edge in grow:
+        if edge[end] == t:
+            n, m = _spine(t, edge[1 - end], edge[2], L, tmax, band1, band2)
+            count, total = count + n, total + m
+    return count, total
 
 
 def _close(grow, L, tmax, band1, band2):
@@ -535,6 +547,57 @@ def _close(grow, L, tmax, band1, band2):
     return n
 
 
+def _close_pair(grow, L, tmax, band1, band2):
+    """(number, sum of floor(L / length)) over the nodes of the subtrees
+    below the phase-2 edges on grow, walked as _close walks them (see
+    there for the spine pairs); grow ends empty.  _close stays the loop of
+    walks that are not thin, which want one number and pay for no
+    second."""
+    acosh, floor = math.acosh, math.floor
+    lo, hi = band1
+    lo2, hi2 = band2
+    count = n = 0
+    gate = max(lo, math.sqrt(tmax))
+    pop, push = grow.pop, grow.append
+    while grow:
+        tl, tr, tm = pop()
+        while True:
+            count += 1
+            if tm > lo:
+                n += 1 if tm < hi else floor(L / (2.0 * acosh(tm / 2.0)))
+            elif lo2 < tm < hi2:
+                n += 2
+            else:
+                n += floor(L / (2.0 * acosh(tm / 2.0)))
+            cr = tm * tr - tl
+            cl = tl * tm - tr
+            if (
+                tm > gate
+                and 2.0 <= tl < tm
+                and 2.0 <= tr < tm
+                and cl * tm - tl > tmax
+                and tm * cr - tr > tmax
+            ):
+                a, s = tm, cl
+                while s <= tmax:
+                    count += 1
+                    n += 1 if s < hi else floor(L / (2.0 * acosh(s / 2.0)))
+                    a, s = s, tl * s - a
+                a, s = tm, cr
+                while s <= tmax:
+                    count += 1
+                    n += 1 if s < hi else floor(L / (2.0 * acosh(s / 2.0)))
+                    a, s = s, s * tr - a
+                break
+            if cr <= tmax:
+                push((tm, tr, cr))
+            if cl <= tmax:
+                tr, tm = tm, cl
+            else:
+                break
+    return count, n
+
+
 def _floors(L, s, band1, band2):
     """(edges, values) from which _tally reads floor(L / length) for traces
     from s up, with the bands k = floor(L / length(s)), ..., 1.
@@ -556,60 +619,64 @@ def _floors(L, s, band1, band2):
 
 
 def _tally(t, L, floors):
-    """Sum of floor(L / length) over the traces t, or their number where
-    floors is None: a trace inside a band takes the band's k, every other
-    one the exact formula the scalar walk evaluates."""
-    import numpy as np
-
-    if floors is None:
-        return len(t)
+    """(number, sum of floor(L / length)) over the traces t: a trace inside
+    a band takes the band's k, every other one the exact formula the scalar
+    walk evaluates."""
     edges, values = floors
-    i = np.searchsorted(edges, t, "right")
+    i = edges.searchsorted(t, "right")
     n = int(values[i].sum())
     acosh, floor = math.acosh, math.floor
     for v in t[(i & 1) == 0].tolist():
         n += floor(L / (2.0 * acosh(v / 2.0)))
-    return n
+    return len(t), n
 
 
 def _climb(t, a, s, L, tmax, band1):
-    """Sum over the spine s' = t*s - a from s to its last trace <= tmax of
-    floor(L / length), 1 inside band1, for a spine whose side children are
-    all above tmax.
+    """(number, sum of floor(L / length)) over the spine s' = t*s - a from
+    s to its last trace <= tmax, 1 inside band1, for a spine whose side
+    children are all above tmax.
 
     A spine node whose length is at most L/2 has a side child no longer
     than L, so past the last side child below tmax the spine lies in
     band 1 but for the traces near its ends.  The spine never decreases
     (see _close): the traces below band 1 take the exact formula, the run
     inside it is counted by a loop that only steps and compares, and the
-    traces above it take the exact formula again.  The argument only makes
-    the exact loops short; any trace outside band 1 takes the exact
-    formula."""
+    traces above it take the exact formula again.  That loop makes four
+    steps to a pass and compares the fourth trace alone: if it is inside
+    the band, so are the three before it.  The argument only makes the
+    exact loops short; any trace outside band 1 takes the exact formula."""
     acosh, floor = math.acosh, math.floor
     top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
     lo, hi = band1
     start, stop = min(math.nextafter(lo, math.inf), top), min(hi, top)
-    n = 0
+    count = n = 0
     while s < start:
         n += floor(L / (2.0 * acosh(s / 2.0)))
+        count += 1
         a, s = s, t * s - a
-    while s < stop:  # two steps to a loop pass
-        a = t * s - a
-        if not a < stop:
-            n += 1
-            a, s = s, a
+    inside = 0
+    while True:
+        s1 = t * s - a
+        s2 = t * s1 - s
+        s3 = t * s2 - s1
+        if not s3 < stop:
             break
-        s = t * a - s
-        n += 2
+        a, s = s3, t * s3 - s2
+        inside += 4
+    while s < stop:
+        inside += 1
+        a, s = s, t * s - a
     while s < top:
         n += floor(L / (2.0 * acosh(s / 2.0)))
+        count += 1
         a, s = s, t * s - a
-    return n
+    return count + inside, n + inside
 
 
-def _spine(t, a, s, L, tmax, band1, band2, floors):
-    """Sum over the subtree below the phase-2 edge (t, a, s) or (a, t, s),
-    whose fixed end is the short trace t, as _close would count it.
+def _spine(t, a, s, L, tmax, band1, band2):
+    """(number, sum of floor(L / length)) over the subtree below the
+    phase-2 edge (t, a, s) or (a, t, s), whose fixed end is the short trace
+    t, as _close would count it.
 
     The spine s' = t*s - s_prev is iterated in a tight loop and recorded in
     segments of at most _SEGMENT traces, each segment keeping its
@@ -620,7 +687,10 @@ def _spine(t, a, s, L, tmax, band1, band2, floors):
     and (r, l, m) are mirror images with the same traces (l*m = m*l), so
     either spine hands its side children to _lockstep as (s_i, a_i, c).
     Side children above tmax are dropped, and the rest expanded before the
-    next segment is recorded.
+    next segment is recorded.  A segment of fewer than _LANES traces does
+    not pay for numpy's set-up: its traces take _close's floor rule one by
+    one and its side children go to the scalar stack, and the band arrays
+    of _floors are built only for the first segment that is long enough.
 
     With t > 2 and a < s, as at every phase-2 edge, the spine and its side
     children never decrease (see _close), so once a side child is above
@@ -631,20 +701,20 @@ def _spine(t, a, s, L, tmax, band1, band2, floors):
     and the side child is tested.  If it is still <= tmax, the spine is
     recorded to its end.  The test decides where _climb starts, never what
     is counted."""
-    import numpy as np
-
     lam = (t + math.sqrt(t * t - 4.0)) / 2.0
     cut = min(tmax, math.sqrt(lam * (tmax + t)))
-    n = 0
+    count = total = 0
+    floors = None
     while True:
         # s <= tmax is the next spine node and a its predecessor
         if s > cut:
             if s * a - t > tmax:
-                return n + _climb(t, a, s, L, tmax, band1)
+                n, m = _climb(t, a, s, L, tmax, band1)
+                return count + n, total + m
             cut = tmax
         seg = [a, s]
         app = seg.append
-        # two steps to a loop pass, as in _climb
+        # two steps to a loop pass
         for _ in range(_SEGMENT // 2 - 1):
             a = t * s - a
             if not a <= cut:
@@ -657,22 +727,45 @@ def _spine(t, a, s, L, tmax, band1, band2, floors):
             app(s)
         else:
             a, s = s, t * s - a
-        # past L = 709 a product of two traces can overflow: it is inf and
-        # dropped, as in the scalar loop, which does not warn
-        with np.errstate(over="ignore"):
-            trace = np.fromiter(seg, np.float64, len(seg))
-            spine, prev = trace[1:], trace[:-1]
-            n += _tally(spine, L, floors)
-            side = spine * prev - t
-            keep = side <= tmax
-            n += _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
+        if len(seg) <= _LANES:
+            acosh, floor = math.acosh, math.floor
+            lo, hi = band1
+            lo2, hi2 = band2
+            side = []
+            for prev, v in zip(seg, seg[1:]):
+                if lo < v < hi:
+                    total += 1
+                elif lo2 < v < hi2:
+                    total += 2
+                else:
+                    total += floor(L / (2.0 * acosh(v / 2.0)))
+                c = v * prev - t
+                if c <= tmax:
+                    side.append((v, prev, c))
+            n, m = _close_pair(side, L, tmax, band1, band2)
+            count, total = count + len(seg) - 1 + n, total + m
+        else:
+            import numpy as np
+
+            if floors is None:
+                floors = _floors(L, seg[1], band1, band2)
+            # past L = 709 a product of two traces can overflow: it is inf
+            # and dropped, as in the scalar loop, which does not warn
+            with np.errstate(over="ignore"):
+                trace = np.fromiter(seg, np.float64, len(seg))
+                spine, prev = trace[1:], trace[:-1]
+                n, m = _tally(spine, L, floors)
+                side = spine * prev - t
+                keep = side <= tmax
+                n2, m2 = _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
+            count, total = count + n + n2, total + m + m2
         if not s <= tmax:
-            return n
+            return count, total
 
 
 def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
-    """Sum over the subtrees below the edges (tl[i], tr[i], tm[i]), all
-    with tm <= tmax, as _close would count them.
+    """(number, sum of floor(L / length)) over the subtrees below the edges
+    (tl[i], tr[i], tm[i]), all with tm <= tmax, as _close would count them.
 
     The lanes walk their left spines in lockstep: each step counts tm,
     emits the right children tm*tr - tl that are <= tmax as the next
@@ -682,14 +775,15 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
     lanes."""
     import numpy as np
 
-    n = 0
+    count = total = 0
     small = []
     pending = [(tl, tr, tm)]
     while pending:
         tl, tr, tm = pending.pop()
         kids = []
         while len(tm) >= _LANES:
-            n += _tally(tm, L, floors)
+            n, m = _tally(tm, L, floors)
+            count, total = count + n, total + m
             c = tm * tr - tl
             keep = c <= tmax
             kids.append((tm[keep], tr[keep], c[keep]))
@@ -701,7 +795,8 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
             tl, tr, tm = (np.concatenate(col) for col in zip(*kids))
             for i in range(0, len(tm), _SEGMENT):
                 pending.append((tl[i:i + _SEGMENT], tr[i:i + _SEGMENT], tm[i:i + _SEGMENT]))
-    return n + _close(small, L, tmax, band1, band2)
+    n, m = _close_pair(small, L, tmax, band1, band2)
+    return count + n, total + m
 
 
 def slopes_upto(x, y, z, L):
@@ -732,15 +827,49 @@ def slopes_upto(x, y, z, L):
 
 
 def _count(x, y, z, L, multi):
-    """_count_walk from checked roots and bound.  Off the cusp identity a
-    trace inside the walk can fall to 2 or below even when the roots pass
-    the check; acosh then raises ValueError, which is raised again as
-    ArithmeticError.  One handler around the whole walk costs no node
-    anything."""
+    """Sum over slopes with trace <= tmax = 2*cosh(L/2) of floor(L / length)
+    when multi is true, else their number, from checked roots and bound.
+
+    Phase 1 walks from the roots with the kernels' pruning rule until an
+    edge's mediant exceeds both its ends.  That edge was visited, so all
+    three of its traces are <= tmax, and it goes to the phase-2 stack.  In
+    its subtree every visited node keeps both ends <= tmax, so a child c
+    above tmax is above both its ends: the rule reduces to c <= tmax, and
+    every node visited is counted.  Phase 2 runs in _close, the scalar
+    loop, and tallies the one number asked for.
+
+    A thin walk runs in _thin_walk instead, which tallies both numbers at
+    once and keeps the last pair; it is looked up only once both checks
+    pass, so a bad input raises on every call.  A walk is thin where its
+    short root t, the shorter of x and y, is shorter than L/_SHORT and the
+    spines whose fixed end t is hold at least _LANES traces <= tmax.  A
+    spine s_k = A*lam^k + B*lam^-k with lam + 1/lam = t lies near
+    m*cosh(j*acosh(t/2)) at j steps from its least trace m, which is among
+    the other root and the mediant roots z and x*y - z wherever the triple
+    is reduced, as in the Bers box.  A shorter spine has m*m - t > tmax,
+    as t is shorter than L/_SHORT, so no side child <= tmax, and the scalar
+    loop counts it faster than the pair tally and the array set-up would;
+    the test decides only the speed.  Walks with no short root never leave
+    the scalar loop, and never reach the kept pair.
+
+    Off the cusp identity a trace inside the walk can fall to 2 or below
+    even when the roots pass the check; acosh then raises ValueError, which
+    is raised again as ArithmeticError.  One handler around the whole walk
+    costs no node anything."""
     _check_roots(x, y, z)
     tmax = _trace_bound(L)
     try:
-        return _count_walk(x, y, z, L, tmax, multi)
+        short = 2.0 * math.cosh(L / (2.0 * _SHORT))
+        if x < short or y < short:
+            t, u = (x, y) if x <= y else (y, x)
+            m = min(u, z, x * y - z)
+            # m > tmax: no spine trace at all, and no acosh spent to see it
+            if m <= tmax and m * math.cosh(_LANES * math.acosh(t / 2.0)) <= tmax:
+                count, total = _thin_walk(x, y, z, L, tmax)
+                return total if multi else count
+        band1, band2 = (_band(L, 1), _band(L, 2)) if multi else _UNIT_BANDS
+        n, grow = _phase1(x, y, z, L, tmax, band1, band2)
+        return n + _close(grow, L, tmax, band1, band2)
     except ValueError as err:
         raise ArithmeticError(
             "a trace inside the walk from x=%r y=%r z=%r at L=%r is at most 2 or not finite"
@@ -748,11 +877,15 @@ def _count(x, y, z, L, multi):
 
 
 def count_upto(x, y, z, L):
-    """Number of slopes with length <= L."""
+    """Number of slopes with length <= L.  A thin walk (see _count)
+    tallies count_multi with it and keeps the pair, so count_multi at the
+    same arguments next does not walk again."""
     return _count(x, y, z, L, False)
 
 
 def count_multi(x, y, z, L):
     """Number of integer multiples of slopes with total length <= L,
-    i.e. sum over slopes of floor(L / length)."""
+    i.e. sum over slopes of floor(L / length).  A thin walk (see _count)
+    tallies count_upto with it and keeps the pair, so count_upto at the
+    same arguments next does not walk again."""
     return _count(x, y, z, L, True)

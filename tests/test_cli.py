@@ -191,6 +191,35 @@ def test_torus_count(capsys):
     assert doc["systole"]["slope"] == "1/0"
 
 
+THIN_COUNT = """{
+  "L": 30.0,
+  "config": {
+    "seed": 20260814,
+    "volume_table": null
+  },
+  "count_multi": 59596,
+  "count_simple": 29597,
+  "ell": 0.001,
+  "normalized_multi": 66.21777777777778,
+  "normalized_simple": 32.885555555555555,
+  "systole": {
+    "length": 0.0009999999998672742,
+    "multiplicity": 1,
+    "slope": "0/1"
+  },
+  "tau": 0.00037
+}
+"""
+
+
+def test_torus_count_at_a_thin_point_prints_the_bytes_of_two_walks(capsys):
+    # a thin point: count_simple and count_multi come from one tree walk
+    # and its kept pair; the bytes are those printed when each count
+    # walked the tree on its own
+    assert cli.main(["torus", "count", "--ell", "1e-3", "--tau", "3.7e-4", "--length", "30"]) == 0
+    assert capsys.readouterr().out == THIN_COUNT
+
+
 def test_torus_spectrum_inline(capsys):
     doc = run_json(
         capsys,

@@ -177,7 +177,9 @@ def test_pure_walks_match_oracle_on_a_seeded_sweep():
 
 def _spy(monkeypatch, *names):
     """The argument tuples of every call to the named _pykernels helpers,
-    which the kernels look up in the module at each call."""
+    which the kernels look up in the module at each call.  The kept pair of
+    the last thin walk is dropped first, so that every spied walk runs."""
+    _pykernels._thin_walk.cache_clear()
     calls = {name: [] for name in names}
     for name in names:
         def wrapper(*args, f=getattr(_pykernels, name), seen=calls[name]):
@@ -267,11 +269,15 @@ def test_array_path_overflows_to_inf_silently_as_the_scalar_loop_does():
         _assert_counts_match(triple, [750.0])
 
 
+PAIR_PATH = ("_thin_walk", "_close_pair", "_spine", "_lockstep", "_climb", "_tally", "_floors")
+
+
 def test_array_path_runs_at_thin_points_only(monkeypatch):
     # moduli-mc's hot loop stays on the scalar walk: Bers-box points with
-    # ell >= L/1024 never reach the array helpers at L = 80, the boundary
-    # ell = 80/1024 included, while a thin point does
-    calls = _spy(monkeypatch, "_spine", "_lockstep", "_climb", "_tally", "_floors")
+    # ell >= L/1024 never reach the kept pair, the pair tally or the array
+    # helpers at L = 80, the boundary ell = 80/1024 included, while a thin
+    # point does
+    calls = _spy(monkeypatch, *PAIR_PATH)
     rng = random.Random(80)
     points = [TorusPoint(80.0 / 1024, 0.0), TorusPoint(80.0 / 1024, 0.04)]
     for _ in range(24):
@@ -282,7 +288,134 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
         count_b(X, 80.0)
     assert not any(calls.values())
     count_b(TorusPoint(1e-3, 0.0), 20.0)
-    assert calls["_spine"] and calls["_climb"]
+    assert calls["_thin_walk"] and calls["_spine"] and calls["_climb"]
+
+
+def test_short_spines_stay_on_the_scalar_walk(monkeypatch):
+    # ell = 1e-2 at L = 12 and 3e-3 at L = 12 are shorter than L/1024, but
+    # the base curve's spines hold about 25 traces <= tmax and none at all:
+    # the scalar loop counts them faster than the pair tally would
+    calls = _spy(monkeypatch, *PAIR_PATH)
+    for ell in (1e-2, 3e-3):
+        X = TorusPoint(ell, 0.37 * ell)
+        _assert_counts_match(_triple(X), [12.0] + [L for L in _tie_radii(X, 12.0) if L > 11.0])
+    assert not any(calls.values())
+    # at L = 14 the spines hold about 330 traces each
+    count_b(TorusPoint(1e-2, 0.37e-2), 14.0)
+    assert calls["_thin_walk"] and calls["_climb"]
+
+
+def test_short_spine_segments_skip_the_array_set_up(monkeypatch):
+    # ell = 1e-2, L = 24: each base spine records a segment of fewer than
+    # _LANES traces with side children <= tmax; the traces take the scalar
+    # floor rule and the side children the scalar stack, and no band array
+    # is built.  At L = 25 the segments are long enough for the arrays
+    calls = _spy(monkeypatch, "_spine", "_close_pair", "_floors", "_lockstep")
+    X = TorusPoint(1e-2, 0.37e-2)
+    triple = _triple(X)
+    _assert_counts_match(triple, [24.0] + _spine_tie_radii(triple, (1, 2, 5), (1, 2)))
+    assert calls["_spine"] and len(calls["_close_pair"]) > len(calls["_spine"]) // 2
+    assert not calls["_floors"] and not calls["_lockstep"]
+    _assert_counts_match(triple, [25.0])
+    assert calls["_floors"] and calls["_lockstep"]
+
+
+def test_close_pair_counts_what_close_counts_with_each_rule():
+    # the scalar loop of thin walks tallies both numbers in one pass, and
+    # must count what _close counts with each rule, spine pairs included:
+    # at (2.0001, 9.99, 10.0) and tmax = 99.9, _close with count_upto's
+    # rule meets a node that fails the left cross test alone
+    cases = [((2.0001, 9.99, 10.0), 2.0 * math.acosh(99.9 / 2.0))]
+    for ell, L in ((1e-2, 24.0), (3e-3, 30.0), (0.5, 12.0)):
+        cases.append((_triple(TorusPoint(ell, 0.37 * ell)), L))
+    x, y, z = _triple(TorusPoint(0.5, 2.2))
+    cases += [((x, y, z), 10.0), ((y, x, x * y - z), 10.0)]
+    for triple, L in cases:
+        tmax = _pykernels._trace_bound(L)
+        bands = _pykernels._band(L, 1), _pykernels._band(L, 2)
+        _, grow = _pykernels._phase1(*triple, L, tmax, *bands)
+        assert grow, (triple, L)
+        want = (_pykernels._close(list(grow), L, tmax, *_pykernels._UNIT_BANDS),
+                _pykernels._close(list(grow), L, tmax, *bands))
+        assert _pykernels._close_pair(list(grow), L, tmax, *bands) == want, (triple, L)
+
+
+# --- the kept pair of a thin walk -------------------------------------------
+
+
+def _walks_in_both_orders(triple, L):
+    _pykernels._thin_walk.cache_clear()
+    first = (_pykernels.count_upto(*triple, L), _pykernels.count_multi(*triple, L))
+    _pykernels._thin_walk.cache_clear()
+    multi = _pykernels.count_multi(*triple, L)
+    return first, (_pykernels.count_upto(*triple, L), multi)
+
+
+def test_kept_pair_matches_oracle_in_either_order():
+    # thin points at their tie radii, where slopes sit on count_multi's
+    # thresholds, and at the radii either side of the spine slopes 1/j
+    for ell, top in ((1e-2, 60.0), (3e-3, 30.0), (1e-3, 20.0)):
+        X = TorusPoint(ell, 0.37 * ell)
+        triple = _triple(X)
+        radii = [top] + _tie_radii(X, top) + _spine_tie_radii(triple, (3, 40), (1, 2))
+        for L in radii:
+            upto, multi, _ = _oracle(*triple, L)
+            assert _walks_in_both_orders(triple, L) == ((upto, multi), (upto, multi)), (ell, L)
+
+
+def test_count_pair_at_one_point_walks_once(monkeypatch):
+    # _spine runs once per spine edge of the base curve in each walk
+    calls = _spy(monkeypatch, "_spine")
+    upto, multi = _pykernels.count_upto, _pykernels.count_multi
+    L = 20.0
+    X, Y = TorusPoint(1e-3, 0.37e-3), TorusPoint(1e-3, 0.2e-3)
+    x, y, z = _triple(X)
+
+    def spines(*kernel_calls):
+        calls["_spine"].clear()
+        for kernel, args in kernel_calls:
+            kernel(*args)
+        return len(calls["_spine"])
+
+    at_x = spines((upto, (x, y, z, L)))
+    at_y = spines((multi, _triple(Y) + (L,)))
+    assert at_x > 0 and at_y > 0
+    # count_s then count_b at one (X, L) walk once, and in the other order
+    _pykernels._thin_walk.cache_clear()
+    assert spines((count_s, (X, 1, L)), (count_b, (X, L))) == at_x
+    assert spines((count_b, (Y, L)), (count_s, (Y, 1, L))) == at_y
+    # L one ulp away, the mirrored roots, or another point in between
+    assert spines((upto, (x, y, z, L)), (multi, (x, y, z, math.nextafter(L, math.inf)))) == 2 * at_x
+    assert spines((upto, (x, y, z, L)), (multi, (y, x, z, L))) == 2 * at_x
+    assert spines((upto, (x, y, z, L)), (upto, _triple(Y) + (L,)), (multi, (x, y, z, L))) == 2 * at_x + at_y
+    # the same call again reads the kept pair
+    _pykernels._thin_walk.cache_clear()
+    assert spines((multi, (x, y, z, L)), (multi, (x, y, z, L)), (upto, (x, y, z, L))) == at_x
+
+
+def test_errors_are_raised_on_every_call_never_kept(monkeypatch):
+    calls = _spy(monkeypatch, "_thin_walk", "_spine")
+    thin = _triple(TorusPoint(1e-3, 0.37e-3))
+    kept = _pykernels.count_upto(*thin, 20.0)
+    for _ in range(2):
+        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+            # a thin walk whose traces fall to 2 inside it
+            with pytest.raises(ArithmeticError, match="inside the walk"):
+                kernel(2.01, 1e80, 1.5e80, 1400.0)
+            # the kept pair's roots at an unbounded or too large radius
+            with pytest.raises(ArithmeticError, match="not finite"):
+                kernel(*thin, math.nan)
+            with pytest.raises(OverflowError):
+                kernel(*thin, 1500.0)
+            with pytest.raises(ArithmeticError, match="root traces"):
+                kernel(thin[0], thin[1], 2.0, 20.0)
+    # the failing thin walk ran on each of its four calls; the bad radii and
+    # roots never got past the checks to the kept pair, which still holds
+    assert calls["_thin_walk"] == [thin + (20.0, _pykernels._trace_bound(20.0))] + [
+        (2.01, 1e80, 1.5e80, 1400.0, _pykernels._trace_bound(1400.0))] * 4
+    walked = len(calls["_spine"])
+    assert _pykernels.count_upto(*thin, 20.0) == kept
+    assert len(calls["_spine"]) == walked
 
 
 def test_thin_walk_memory_does_not_grow_with_the_radius():
