@@ -269,15 +269,16 @@ def test_array_path_overflows_to_inf_silently_as_the_scalar_loop_does():
         _assert_counts_match(triple, [750.0])
 
 
-PAIR_PATH = ("_thin_walk", "_close_pair", "_spine", "_lockstep", "_climb", "_tally", "_floors")
+PAIR_PATH = ("_thin_walk", "_spine", "_lockstep", "_climb", "_tally", "_floors")
 
 
 def test_array_path_runs_at_thin_points_only(monkeypatch):
     # moduli-mc's hot loop stays on the scalar walk: Bers-box points with
     # ell >= L/1024 never reach the kept pair, the pair tally or the array
     # helpers at L = 80, the boundary ell = 80/1024 included, while a thin
-    # point does
-    calls = _spy(monkeypatch, *PAIR_PATH)
+    # point does.  Each call runs phase 1 once, with the bands of the one
+    # number asked for, where the pair tally runs it twice
+    calls = _spy(monkeypatch, "_phase1", *PAIR_PATH)
     rng = random.Random(80)
     points = [TorusPoint(80.0 / 1024, 0.0), TorusPoint(80.0 / 1024, 0.04)]
     for _ in range(24):
@@ -286,6 +287,8 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
     for X in points:
         count_s(X, 1, 80.0)
         count_b(X, 80.0)
+    bands = (_pykernels._band(80.0, 1), _pykernels._band(80.0, 2))
+    assert [args[5:] for args in calls.pop("_phase1")] == [_pykernels._UNIT_BANDS, bands] * len(points)
     assert not any(calls.values())
     count_b(TorusPoint(1e-3, 0.0), 20.0)
     assert calls["_thin_walk"] and calls["_spine"] and calls["_climb"]
@@ -310,34 +313,37 @@ def test_short_spine_segments_skip_the_array_set_up(monkeypatch):
     # _LANES traces with side children <= tmax; the traces take the scalar
     # floor rule and the side children the scalar stack, and no band array
     # is built.  At L = 25 the segments are long enough for the arrays
-    calls = _spy(monkeypatch, "_spine", "_close_pair", "_floors", "_lockstep")
+    calls = _spy(monkeypatch, "_spine", "_close", "_floors", "_lockstep")
     X = TorusPoint(1e-2, 0.37e-2)
     triple = _triple(X)
     _assert_counts_match(triple, [24.0] + _spine_tie_radii(triple, (1, 2, 5), (1, 2)))
-    assert calls["_spine"] and len(calls["_close_pair"]) > len(calls["_spine"]) // 2
+    assert calls["_spine"] and len(calls["_close"]) > len(calls["_spine"]) // 2
     assert not calls["_floors"] and not calls["_lockstep"]
     _assert_counts_match(triple, [25.0])
     assert calls["_floors"] and calls["_lockstep"]
 
 
-def test_close_pair_counts_what_close_counts_with_each_rule():
-    # the scalar loop of thin walks tallies both numbers in one pass, and
-    # must count what _close counts with each rule, spine pairs included:
-    # at (2.0001, 9.99, 10.0) and tmax = 99.9, _close with count_upto's
-    # rule meets a node that fails the left cross test alone
+def test_close_tallies_both_numbers_in_one_pass():
+    # the scalar loop tallies the count beside the sum: thick walks read
+    # the sum under count_upto's unit bands or count_multi's bands, thin
+    # walks both numbers under count_multi's.  Each must be the oracle's,
+    # spine pairs included: at (2.0001, 9.99, 10.0) and tmax = 99.9 the
+    # walk meets a node that fails the left cross test alone
     cases = [((2.0001, 9.99, 10.0), 2.0 * math.acosh(99.9 / 2.0))]
     for ell, L in ((1e-2, 24.0), (3e-3, 30.0), (0.5, 12.0)):
         cases.append((_triple(TorusPoint(ell, 0.37 * ell)), L))
     x, y, z = _triple(TorusPoint(0.5, 2.2))
     cases += [((x, y, z), 10.0), ((y, x, x * y - z), 10.0)]
     for triple, L in cases:
+        upto, multi, _ = _oracle(*triple, L)
         tmax = _pykernels._trace_bound(L)
         bands = _pykernels._band(L, 1), _pykernels._band(L, 2)
-        _, grow = _pykernels._phase1(*triple, L, tmax, *bands)
+        unit, grow = _pykernels._phase1(*triple, L, tmax, *_pykernels._UNIT_BANDS)
+        total, _ = _pykernels._phase1(*triple, L, tmax, *bands)
         assert grow, (triple, L)
-        want = (_pykernels._close(list(grow), L, tmax, *_pykernels._UNIT_BANDS),
-                _pykernels._close(list(grow), L, tmax, *bands))
-        assert _pykernels._close_pair(list(grow), L, tmax, *bands) == want, (triple, L)
+        n, m = _pykernels._close(list(grow), L, tmax, *_pykernels._UNIT_BANDS)
+        assert n == m == upto - unit, (triple, L)
+        assert _pykernels._close(list(grow), L, tmax, *bands) == (n, multi - total), (triple, L)
 
 
 # --- the kept pair of a thin walk -------------------------------------------
