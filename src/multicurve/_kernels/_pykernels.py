@@ -23,8 +23,15 @@ the tree walks raise ArithmeticError: such a ball never ends, and such a
 trace bound would prune nothing.  The tree walks also raise ArithmeticError
 when a root trace x or y, or a mediant root z or x*y - z, is at most 2 or
 not finite: from a trace of 2 a spine s' = t*s - s_prev never grows, and
-below 2 a length is undefined.  count_upto and count_multi raise it too when
-a trace inside the walk falls there, as it can off the cusp identity.
+below 2 a length is undefined.  count_upto, count_multi and slopes_upto
+raise it too when a trace inside the walk falls there, as it can off the
+cusp identity.
+
+slopes_upto lists each slope p/q as a (trace, q, p) triple, so that a plain
+sort orders the spectrum by trace, ties by q then p.  It walks from the
+roots with the pruning rule, and lists the two spines below a node that
+roots them and nothing else in two tight loops, by the rule _close closes
+spine pairs with.
 
 count_upto and count_multi share one walk in two phases.  Phase 1 applies
 the pruning rule from the roots until an edge's mediant exceeds both its
@@ -764,30 +771,72 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
 
 
 def slopes_upto(x, y, z, L):
-    """All slopes with length <= L as (p, q, trace) triples, sorted by
-    (trace, q, p)."""
+    """All slopes p/q with length <= L as (trace, q, p) triples, sorted: by
+    trace, ties by q then p.
+
+    The walk keeps the kernels' pruning rule, descends into the left child
+    and stacks the right one.  The negative tree starts from the right root
+    -1/0, so its mediants carry their sign.  A node that roots two spines
+    and nothing else, by _close's rule and argument, has both spines listed
+    in two tight loops: down the left the label advances by the left end's
+    (pl, ql), down the right by the right end's (pr, qr).  Such a node's
+    ends are below its trace, so it passed the pruning rule by that trace
+    being <= tmax, as every node _close meets does.  Spine traces start
+    from ends >= 2 and never decrease; any other listed trace that is not
+    above 2, as one off the cusp identity can be, raises ArithmeticError."""
     _check_roots(x, y, z)
     tmax = _trace_bound(L)
-    out = [(p, q, t) for p, q, t in ((0, 1, x), (1, 0, y)) if t <= tmax]
-    for sign, zroot in ((1, z), (-1, x * y - z)):
+    gate = math.sqrt(tmax)
+    out = [(t, q, p) for t, q, p in ((x, 1, 0), (y, 0, 1)) if t <= tmax]
+    app = out.append
+    # the right root is 1/0 for the positive tree and -1/0 for the negative
+    for right, zroot in ((1, z), (-1, x * y - z)):
         if zroot > tmax and zroot > x and zroot > y:
             continue
         # entries: (pl, ql, tl, pr, qr, tr, tm) for the edge whose mediant,
         # of trace tm, survived the pruning test
-        stack = [(0, 1, x, 1, 0, y, zroot)]
+        stack = [(0, 1, x, right, 0, y, zroot)]
+        pop, push = stack.pop, stack.append
         while stack:
-            pl, ql, tl, pr, qr, tr, tm = stack.pop()
-            pm, qm = pl + pr, ql + qr
-            if tm <= tmax:
-                out.append((sign * pm, qm, tm))
-            c = tl * tm - tr
-            if c <= tmax or not (c > tl and c > tm):
-                stack.append((pl, ql, tl, pm, qm, tm, c))
-            c = tm * tr - tl
-            if c <= tmax or not (c > tm and c > tr):
-                stack.append((pm, qm, tm, pr, qr, tr, c))
-    out.sort(key=lambda s: (s[2], s[1], s[0]))
+            pl, ql, tl, pr, qr, tr, tm = pop()
+            while True:
+                pm, qm = pl + pr, ql + qr
+                if tm <= tmax:
+                    if not tm > 2.0:
+                        raise _fallen(x, y, z, L)
+                    app((tm, qm, pm))
+                cr = tm * tr - tl
+                cl = tl * tm - tr
+                if (
+                    tm > gate
+                    and 2.0 <= tl < tm
+                    and 2.0 <= tr < tm
+                    and cl * tm - tl > tmax
+                    and tm * cr - tr > tmax
+                ):
+                    a, s, p, q = tm, cl, pm + pl, qm + ql
+                    while s <= tmax:
+                        app((s, q, p))
+                        a, s, p, q = s, tl * s - a, p + pl, q + ql
+                    a, s, p, q = tm, cr, pm + pr, qm + qr
+                    while s <= tmax:
+                        app((s, q, p))
+                        a, s, p, q = s, s * tr - a, p + pr, q + qr
+                    break
+                if cr <= tmax or not (cr > tm and cr > tr):
+                    push((pm, qm, tm, pr, qr, tr, cr))
+                if cl <= tmax or not (cl > tl and cl > tm):
+                    pr, qr, tr, tm = pm, qm, tm, cl
+                else:
+                    break
+    out.sort()
     return out
+
+
+def _fallen(x, y, z, L):
+    return ArithmeticError(
+        "a trace inside the walk from x=%r y=%r z=%r at L=%r is at most 2 or not finite"
+        % (x, y, z, L))
 
 
 def _count(x, y, z, L, multi):
@@ -836,9 +885,7 @@ def _count(x, y, z, L, multi):
         n, grow = _phase1(x, y, z, L, tmax, band1, band2)
         return n + _close(grow, L, tmax, band1, band2)[1]
     except ValueError as err:
-        raise ArithmeticError(
-            "a trace inside the walk from x=%r y=%r z=%r at L=%r is at most 2 or not finite"
-            % (x, y, z, L)) from err
+        raise _fallen(x, y, z, L) from err
 
 
 def count_upto(x, y, z, L):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .hypfun import TORUS_MAX_SYSTOLE
@@ -81,16 +82,24 @@ class FrickeTriple:
             )
 
 
-@dataclass(frozen=True)
-class Slope:
-    p: int
-    q: int
+class Slope(NamedTuple("Slope", [("p", int), ("q", int)])):
+    """The slope p/q of a simple closed curve: q > 0 and gcd(p, q) = 1, or
+    the reserved 1/0.  A named tuple, so that a spectrum of thousands of
+    slopes costs one tuple each; every construction, by position, keyword,
+    _make, _replace or unpickling, goes through the checks."""
 
-    def __post_init__(self):
-        if self.q < 0 or (self.q == 0 and self.p != 1):
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if q < 0 or (q == 0 and p != 1):
             raise ValueError("slope must have q > 0, or be the reserved 1/0")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError("slope %d/%d is not reduced" % (self.p, self.q))
+        if math.gcd(p, q) != 1:
+            raise ValueError("slope %d/%d is not reduced" % (p, q))
+        return tuple.__new__(cls, (p, q))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __str__(self):
         return "%d/%d" % (self.p, self.q)
@@ -140,10 +149,8 @@ def enumerate_short_slopes(X: TorusPoint, L: float) -> list:
     if L <= 0:
         return []
     tr = fn_to_triple(X)
-    out = []
-    for p, q, trace in _kernels.slopes_upto(tr.x, tr.y, tr.z, L):
-        out.append((Slope(p, q), 2.0 * math.acosh(trace / 2.0)))
-    return out
+    acosh = math.acosh
+    return [(Slope(p, q), 2.0 * acosh(t / 2.0)) for t, q, p in _kernels.slopes_upto(tr.x, tr.y, tr.z, L)]
 
 
 def count_s(X: TorusPoint, k: int, L: float) -> int:

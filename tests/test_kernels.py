@@ -2,8 +2,10 @@
 scalar lattice-ball walk, and against each other: trace_of_slope against
 the traces the walks list."""
 
+import inspect
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -38,11 +40,12 @@ def _oracle_walk(x, y, z, tmax, visit):
 
 def _oracle(x, y, z, L):
     """(count_upto, count_multi, slopes_upto) by the reference walk, with
-    floor(L / (2*acosh(t/2))) evaluated at every slope."""
+    floor(L / (2*acosh(t/2))) evaluated at every slope and the slopes as
+    sorted (trace, q, p) triples."""
     slopes = []
-    _oracle_walk(x, y, z, 2.0 * math.cosh(L / 2.0), lambda p, q, t: slopes.append((p, q, t)))
-    multi = sum(math.floor(L / (2.0 * math.acosh(t / 2.0))) for _, _, t in slopes)
-    slopes.sort(key=lambda s: (s[2], s[1], s[0]))
+    _oracle_walk(x, y, z, 2.0 * math.cosh(L / 2.0), lambda p, q, t: slopes.append((t, q, p)))
+    multi = sum(math.floor(L / (2.0 * math.acosh(t / 2.0))) for t, _, _ in slopes)
+    slopes.sort()
     return len(slopes), multi, slopes
 
 
@@ -115,6 +118,13 @@ def test_pure_walks_match_oracle_where_a_spine_root_fails_the_left_cross_test():
     _assert_pure_walks_match((2.0001, 9.99, 10.0), [2.0 * math.acosh(99.9 / 2.0)])
 
 
+def test_pure_walks_match_oracle_where_a_spine_root_fails_the_right_cross_test():
+    # the mirror image of the triple above: x and y swapped, so the node
+    # passes every spine test but the right cross grandchild tm*cr - tr >
+    # tmax; slopes_upto listed 622 slopes instead of 636 without it
+    _assert_pure_walks_match((9.99, 2.0001, 10.0), [2.0 * math.acosh(99.9 / 2.0)])
+
+
 def _first_crossing_radii(X):
     # just past the shortest root slope that crosses the base curve's
     # collar: few slopes, but spines whose fixed end is the base trace
@@ -153,19 +163,20 @@ def _sweep_triples(rng):
 
 
 def test_pure_walks_match_oracle_on_a_seeded_sweep():
-    # 2,550 reference walks, each against count_upto and count_multi: 5,100
-    # kernel calls at log-uniform radii
+    # 2,550 reference walks, each against count_upto, count_multi and
+    # slopes_upto: 7,650 kernel calls at log-uniform radii
     rng = random.Random(20261018)
     top = {"box": 80.0, "thin": 25.0, "twisted": 12.0}
     calls = 0
     for kind, triple in _sweep_triples(rng):
         for _ in range(10):
             L = 10 ** rng.uniform(-2.0, math.log10(top[kind]))
-            upto, multi, _ = _oracle(*triple, L)
+            upto, multi, slopes = _oracle(*triple, L)
             assert _pykernels.count_upto(*triple, L) == upto, (triple, L)
             assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
-            calls += 2
-    assert calls >= 5000
+            assert _pykernels.slopes_upto(*triple, L) == slopes, (triple, L)
+            calls += 3
+    assert calls >= 7650
 
 
 # --- the thin walks' array path ---------------------------------------------
@@ -519,8 +530,10 @@ def test_pure_walks_raise_arithmetic_error_where_a_trace_inside_falls_to_2():
     # off the cusp identity a trace below the roots can fall to 2 or below
     # although all four roots pass the check; acosh raised a bare
     # ValueError there, which the command line maps to exit 2, not 3
+    # slopes_upto hung at (2.1, 10, 2.2): the first trace below 2 appears
+    # at depth 1, and from there on the negative traces are always pushed
     for roots, L in (((2.01, 1e80, 1.5e80), 1400.0), ((2.1, 10.0, 2.2), 5.0)):
-        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+        for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
             with pytest.raises(ArithmeticError, match="inside the walk") as info:
                 kernel(*roots, L)
             assert not isinstance(info.value, ValueError)
@@ -573,18 +586,72 @@ def test_trace_of_slope_is_the_listed_trace():
             assert t > 2.0, ((x, y, z), (p, q))
             # a radius a little past the slope's length: the walk lists it
             listed = _pykernels.slopes_upto(x, y, z, 2.0 * math.acosh(t / 2.0) + 0.1)
-            assert [s[2] for s in listed if s[:2] == (p, q)] == [t], ((x, y, z), (p, q))
+            assert [u for u, b, a in listed if (a, b) == (p, q)] == [t], ((x, y, z), (p, q))
+
+
+def _spine_steps(x, y, z, L):
+    """(slopes_upto's list, the number of times each of its two spine
+    loops stepped), by tracing the lines that step them."""
+    code = _pykernels.slopes_upto.__code__
+    source, first = inspect.getsourcelines(_pykernels.slopes_upto)
+    steps = {
+        first + i: side
+        for i, line in enumerate(source)
+        for side, text in (("left", "tl * s - a, p + pl, q + ql"), ("right", "s * tr - a, p + pr, q + qr"))
+        if text in line
+    }
+    assert sorted(steps.values()) == ["left", "right"]
+    ran = {"left": 0, "right": 0}
+
+    def lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in steps:
+            ran[steps[frame.f_lineno]] += 1
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code is code else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        listed = _pykernels.slopes_upto(x, y, z, L)
+    finally:
+        sys.settrace(before)
+    return listed, ran
 
 
 def test_slopes_upto_lists_count_upto_slopes():
     rng = random.Random(11)
+    cases = [((3.0, 3.0, 3.0), L) for L in (1.9, 2.0 * math.acosh(1.5), 9.0, 14.0, 30.0)]
     for _ in range(10):
         ell = rng.uniform(0.5, 1.9)
-        X = TorusPoint(ell, rng.uniform(0.0, ell))
-        tr = fn_to_triple(X)
-        L = rng.uniform(1.0, 8.0)
-        slopes = _pykernels.slopes_upto(tr.x, tr.y, tr.z, L)
-        assert len(slopes) == _pykernels.count_upto(tr.x, tr.y, tr.z, L)
+        cases.append((_triple(TorusPoint(ell, rng.uniform(0.0, ell))), rng.uniform(1.0, 8.0)))
+    # thin points, twisted either way: nearly all their slopes lie on the
+    # two spines whose fixed end is the base trace
+    for ell in (1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
+        cases.append((_triple(TorusPoint(ell, rng.uniform(-ell, ell))), rng.uniform(10.0, 30.0)))
+    cases.append((_triple(TorusPoint(1e-3, 0.37e-3)), 30.0))
+    for triple, L in cases:
+        slopes = _pykernels.slopes_upto(*triple, L)
+        assert len(slopes) == _pykernels.count_upto(*triple, L), (triple, L)
+        assert slopes == _oracle(*triple, L)[2], (triple, L)
+    # at (3, 3, 3) slopes share traces, and ties go by q, then p
+    assert _pykernels.slopes_upto(3.0, 3.0, 3.0, 2.0 * math.acosh(3.0) + 1e-9) == [
+        (3.0, 0, 1), (3.0, 1, 0), (3.0, 1, 1), (6.0, 1, -1), (6.0, 1, 2), (6.0, 2, 1)]
+
+
+def test_slopes_upto_lists_thin_spines_in_its_tight_loops():
+    # At (1e-3, 30) the walk closes spine pairs at the roots: all but 4 of
+    # its 29,597 slopes, the twist slopes 1/k and -1/k, come from the loop
+    # that steps left spines, not from the node stack.  With x and y
+    # swapped the short root is the right end, and the spines k/1 and -k/1
+    # come from the other loop.  The list is the reference walk's each time.
+    x, y, z = _triple(TorusPoint(1e-3, 0.37e-3))
+    for triple, side in (((x, y, z), "left"), ((y, x, x * y - z), "right")):
+        listed, ran = _spine_steps(*triple, 30.0)
+        assert listed == _oracle(*triple, 30.0)[2]
+        assert len(listed) == 29597
+        assert ran[side] == len(listed) - 4, (side, ran)
 
 
 # --- lattice balls against the scalar walk ---------------------------------

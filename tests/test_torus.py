@@ -2,9 +2,11 @@
 and the fundamental-domain Monte Carlo."""
 
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multicurve.torus import (
     BERS_11,
@@ -72,6 +74,57 @@ def test_point_and_slope_validation():
         Slope(-1, 0)  # infinity is stored as 1/0
     assert str(Slope(-1, 2)) == "-1/2"
     assert str(Slope(1, 0)) == "1/0"
+
+
+def test_slope_is_a_checked_named_tuple():
+    # the benchmark digests hash the repr of whole spectra
+    assert repr(Slope(1, 2)) == "Slope(p=1, q=2)"
+    assert repr(Slope(-3, 5)) == "Slope(p=-3, q=5)"
+    assert str(Slope(-3, 5)) == "-3/5"
+    for (p, q), message in (((2, 4), "not reduced"), ((1, -1), "reserved 1/0"), ((2, 0), "reserved 1/0")):
+        with pytest.raises(ValueError, match=message):
+            Slope(p, q)
+    s = Slope(q=7, p=-2)
+    assert (s.p, s.q) == (-2, 7) and s == Slope(-2, 7)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(s, protocol))
+        assert back == s and type(back) is Slope
+    # the named tuple's own constructors go through the checks too
+    assert Slope._make((1, 0)) == Slope(1, 0)
+    with pytest.raises(ValueError, match="not reduced"):
+        Slope._make((2, 4))
+    with pytest.raises(ValueError, match="not reduced"):
+        s._replace(q=8)
+
+
+def _assert_checked(slope):
+    p, q = slope
+    assert type(slope) is Slope
+    assert q > 0 or (p, q) == (1, 0), slope
+    assert math.gcd(p, q) == 1, slope
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ell=st.floats(1e-3, BERS_11),
+    v=st.floats(0.0, 1.0, exclude_max=True),
+    L=st.floats(0.05, 14.0),
+)
+def test_listed_slopes_pass_the_checks_in_the_bers_box(ell, v, L):
+    for slope, _ in enumerate_short_slopes(TorusPoint(ell, ell * v), L):
+        _assert_checked(slope)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_ell=st.floats(-3.0, -1.0),
+    twist=st.floats(-2.0, 2.0),
+    L=st.floats(0.05, 12.0),
+)
+def test_listed_slopes_pass_the_checks_at_thin_points(log_ell, twist, L):
+    ell = 10.0**log_ell
+    for slope, _ in enumerate_short_slopes(TorusPoint(ell, twist * ell), L):
+        _assert_checked(slope)
 
 
 def test_fricke_triple_validation():
