@@ -1,5 +1,6 @@
-"""Pure-Python kernels: weighted lattice-ball counts and walks, and Fricke
-trace trees.
+"""The counting kernels, in pure Python: weighted lattice-ball counts and
+walks, and Fricke trace-tree walks.  This one module is the kernel backend;
+BACKEND names it, and multicurve.kernel_backend reads it.
 
 One walk serves enumeration and counting of a lattice ball.  _walk visits
 the parity-admissible prefixes (m_1..m_(N-1)) and gives each one the
@@ -307,7 +308,8 @@ def trace_of_slope(x, y, z, p, q):
     if q < 0:
         raise ValueError("slope denominator must be nonnegative")
     if p < 0:
-        return trace_of_slope(x, y, x * y - z, -p, q)
+        # the negative tree is the positive one from the roots (x, y, xy - z)
+        z, p = x * y - z, -p
     if (p, q) == (0, 1):
         return x
     if (p, q) == (1, 0):

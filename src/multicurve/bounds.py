@@ -15,7 +15,7 @@ over integral multicurves η and L >= bers/C:
     s(X, η, L) / L^(2N) <= (3g-2+n)^N · 8^N · C^(2N) · 2^k · M^(N-k) · prod_thin R(l_i)
 
 (the box-volume bound behind it carries no factorial).  The two-sided
-sandwich c1·F(X) <= B(X) <= c2·F(X) uses calibrated (c1, c2).
+sandwich c1·F(X) <= B(X) <= c2·F(X) uses the calibrated hypfun.C1 and C2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypfun import Constants, FNPoint, collar_width, h_max, r_weight, thin_cuffs
+from .hypfun import (
+    C1, C2, COMPARISON_C, Constants, FNPoint, collar_width, h_max, r_weight, thin_cuffs,
+)
 from .thurston import comb_ball_measure
 from .dtlattice import CombWeights
 from .topology import SurfaceType
@@ -74,9 +76,8 @@ def b_upper(surface: SurfaceType, fn: FNPoint, consts: Constants) -> float:
     g = surface.genus
     k = len(thin_cuffs(fn, consts.epsilon))
     M = h_max(consts.epsilon, consts.bers_bound)
-    C = consts.comparison_c
     return (
-        C ** (2 * N)
+        COMPARISON_C ** (2 * N)
         * 2.0 ** (g + k)
         * M ** (N - k)
         / math.factorial(2 * N)
@@ -87,7 +88,7 @@ def b_upper(surface: SurfaceType, fn: FNPoint, consts: Constants) -> float:
 def count_upper(surface: SurfaceType, fn: FNPoint, L: float, consts: Constants) -> float:
     """Uniform bound for s(X, η, L)/L^(2N) over every integral multicurve η;
     valid for L >= bers/C."""
-    L0 = consts.bers_bound / consts.comparison_c
+    L0 = consts.bers_bound / COMPARISON_C
     if L < L0:
         raise ValueError("bound requires L >= %.6g, got %.6g" % (L0, L))
     _check_bers(fn, consts.bers_bound)
@@ -95,11 +96,10 @@ def count_upper(surface: SurfaceType, fn: FNPoint, L: float, consts: Constants) 
     N = surface.cuff_count
     k = len(thin_cuffs(fn, consts.epsilon))
     M = h_max(consts.epsilon, consts.bers_bound)
-    C = consts.comparison_c
     return (
         float(3 * g - 2 + n) ** N
         * 8.0**N
-        * C ** (2 * N)
+        * COMPARISON_C ** (2 * N)
         * 2.0**k
         * M ** (N - k)
         * f_value(fn, consts.epsilon)
@@ -111,16 +111,16 @@ def bound_report(surface: SurfaceType, fn: FNPoint, consts: Constants) -> BoundR
     k = len(thin_cuffs(fn, consts.epsilon))
     return BoundReport(
         f_value=fv,
-        lower=consts.c1 * fv,
+        lower=C1 * fv,
         comb_value=b_comb(surface, fn),
-        upper=consts.c2 * fv,
+        upper=C2 * fv,
         explicit_upper=b_upper(surface, fn, consts),
         constants={
-            "C": consts.comparison_c,
+            "C": COMPARISON_C,
             "M": h_max(consts.epsilon, consts.bers_bound),
             "eps": consts.epsilon,
             "k": k,
-            "c1": consts.c1,
-            "c2": consts.c2,
+            "c1": C1,
+            "c2": C2,
         },
     )

@@ -6,9 +6,9 @@ counts and radii are fixed in verify, beside the checks whose tolerances
 were tuned with them.  The thin threshold is hypfun.EPSILON, which the
 `--epsilon` flags of `bounds eval` and `cells integrate` override for one
 command.  The calibrated constants each have one definition in code, with
-their provenance beside them: the comparison and sandwich constants in
-hypfun.Constants, the Bers bounds in hypfun.BERS_BOUNDS and kappa in
-frequencies.KAPPA.
+their provenance beside them: the comparison and sandwich constants
+hypfun.COMPARISON_C, C1 and C2, the Bers bounds in hypfun.BERS_BOUNDS and
+kappa in frequencies.KAPPA.
 """
 
 from __future__ import annotations

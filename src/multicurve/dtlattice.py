@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import _kernels
-from ._kernels import _pykernels
 from .topology import PantsDecomposition
 
 
@@ -121,8 +120,8 @@ def enumerate_ball(
     collars cost nothing.  A radius L <= 0 gives no points; a NaN or
     infinite one raises ValueError.
     """
-    for m, budget in _pykernels.ball_m_vectors(wts.width, parity_masks(dec), float(L)):
-        for t in _pykernels.ball_t_vectors(wts.length, m, budget):
+    for m, budget in _kernels.ball_m_vectors(wts.width, parity_masks(dec), float(L)):
+        for t in _kernels.ball_t_vectors(wts.length, m, budget):
             if any(m) or any(t):
                 yield DTPoint(m, t)
 

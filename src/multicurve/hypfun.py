@@ -13,9 +13,21 @@ import math
 from dataclasses import dataclass
 
 # thin threshold: a cuff of length <= EPSILON is thin.  The sandwich
-# constants Constants.c1 and c2 were calibrated at this value, and the verify
+# constants C1 and C2 were calibrated at this value, and the verify
 # tolerances were tuned with it; `--epsilon` overrides it for one command.
 EPSILON = 0.1
+
+# The calibrated constants of the bound layer, defined here alone.
+# COMPARISON_C compares combinatorial to hyperbolic length: max
+# hyperbolic/comb length ratio 3.27 over 78 points x ~500 slopes, Bers
+# corner and thin limits included; frozen at 4.0
+COMPARISON_C = 4.0
+# (C1, C2) are the sandwich constants C1·F <= B <= C2·F of the unit-ball
+# function, which hold at the threshold EPSILON:
+# min Bhat/F = 0.364 over box, thin and crossover sweeps; frozen at 0.25
+C1 = 0.25
+# max Bhat/F = 1.578, at ell just above EPSILON; frozen at 2.25
+C2 = 2.25
 
 # maximal systole of the once-punctured torus, 2 arccosh(3/2), attained at the
 # square torus: the sharp Bers bound there
@@ -142,30 +154,18 @@ def thin_cuffs(fn, eps: float) -> set[int]:
 
 @dataclass(frozen=True)
 class Constants:
-    """Numeric constants the bound layer depends on.
-
-    epsilon is the thin threshold (EPSILON unless a command overrides it)
-    and bers_bound the cuff-length bound of the surface, BERS_BOUNDS[surface].
-    comparison_c, the constant comparing combinatorial to hyperbolic length,
-    and (c1, c2), the sandwich constants c1·F <= B <= c2·F of the unit-ball
-    function, are calibrated and defined here alone; c1 and c2 hold at the
-    threshold EPSILON they were calibrated at.
+    """The settings the bound layer reads for one command: epsilon, the thin
+    threshold (EPSILON unless `--epsilon` overrides it), and bers_bound, the
+    cuff-length bound of the surface, BERS_BOUNDS[surface].  The calibrated
+    constants COMPARISON_C, C1 and C2 are not settings; they are module
+    constants above.
     """
 
     epsilon: float = EPSILON
     bers_bound: float = TORUS_MAX_SYSTOLE  # sharp for the once-punctured torus
-    # max hyperbolic/comb length ratio 3.27 over 78 points x ~500 slopes,
-    # Bers corner and thin limits included; frozen at 4.0
-    comparison_c: float = 4.0
-    # min Bhat/F = 0.364 over box, thin and crossover sweeps; frozen at 0.25
-    c1: float = 0.25
-    # max Bhat/F = 1.578, at ell just above EPSILON; frozen at 2.25
-    c2: float = 2.25
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         if self.bers_bound <= 1:
             raise ValueError("bers_bound must exceed 1")
-        if self.comparison_c < 1:
-            raise ValueError("comparison_c must be >= 1")

@@ -172,22 +172,17 @@ def count_b(X: TorusPoint, L: float) -> int:
     return _kernels.count_multi(tr.x, tr.y, tr.z, L)
 
 
-def estimate_B(X: TorusPoint, Lmax: float, rungs: int = 3) -> list:
-    """Ladder of normalized counts count_b(L)/L² at L = Lmax/2^j; the last
-    entry is the working estimate of the unit-ball volume at X."""
+def estimate_B(X: TorusPoint, Lmax: float) -> list:
+    """Ladder of normalized counts count_b(L)/L² at L = Lmax/4, Lmax/2 and
+    Lmax; the last entry is the working estimate of the unit-ball volume at
+    X, and the last two give convergence_diagnostic its doubling."""
     if Lmax < 10:
         raise ValueError("Lmax must be at least 10")
-    if rungs < 2:
-        raise ValueError("need at least 2 rungs for a convergence diagnostic")
-    out = []
-    for j in range(rungs - 1, -1, -1):
-        L = Lmax / 2**j
-        out.append((L, count_b(X, L) / L**2))
-    return out
+    return [(L, count_b(X, L) / L**2) for L in (Lmax / 4, Lmax / 2, Lmax)]
 
 
-def b_hat(X: TorusPoint, Lmax: float, rungs: int = 3) -> float:
-    return estimate_B(X, Lmax, rungs)[-1][1]
+def b_hat(X: TorusPoint, Lmax: float) -> float:
+    return estimate_B(X, Lmax)[-1][1]
 
 
 def convergence_diagnostic(ladder: list) -> float:
@@ -200,12 +195,17 @@ def convergence_diagnostic(ladder: list) -> float:
 
 def systole_slope(X: TorusPoint) -> tuple:
     """Shortest slope(s): returns (slope, length, multiplicity); the slope
-    reported is the tie with smallest (q, p)."""
-    L = BERS_11 + LENGTH_TIE_TOL
-    slopes = enumerate_short_slopes(X, L)
-    while not slopes:  # cannot happen for valid points; numeric safety net
-        L *= 1.5
-        slopes = enumerate_short_slopes(X, L)
+    reported is the tie with smallest (q, p).
+
+    Every surface has a systole of length at most BERS_11, so the spectrum
+    is listed to BERS_11 + LENGTH_TIE_TOL.  No slope there means the traces
+    have degenerated in floating point, and ArithmeticError is raised."""
+    slopes = enumerate_short_slopes(X, BERS_11 + LENGTH_TIE_TOL)
+    if not slopes:
+        raise ArithmeticError(
+            "traces degenerated at ell=%r tau=%r: no slope of length <= %r"
+            % (X.ell, X.tau, BERS_11)
+        )
     shortest = slopes[0][1]
     ties = [(s, l) for s, l in slopes if l <= shortest + LENGTH_TIE_TOL]
     best = min(ties, key=lambda item: (item[0].q, item[0].p))
@@ -215,12 +215,8 @@ def systole_slope(X: TorusPoint) -> tuple:
 def _systole_weight(X: TorusPoint):
     """1/multiplicity when the base curve is a systole, else 0 (the point is
     represented elsewhere in the box)."""
-    slopes = enumerate_short_slopes(X, X.ell + LENGTH_TIE_TOL)
-    shortest = slopes[0][1]
-    if shortest < X.ell - LENGTH_TIE_TOL:
-        return 0.0
-    mult = sum(1 for _, l in slopes if l <= shortest + LENGTH_TIE_TOL)
-    return 1.0 / mult
+    _, shortest, mult = systole_slope(X)
+    return 0.0 if shortest < X.ell - LENGTH_TIE_TOL else 1.0 / mult
 
 
 def sample_bers_box(samples: int, seed: int):

@@ -24,7 +24,7 @@ from ._kernels import BACKEND
 from .config import RunConfig
 from .dtlattice import CombWeights
 from .exactpoly import PiPoly, PiRat
-from .hypfun import BERS_BOUNDS, EPSILON, Constants, FNPoint, collar_width
+from .hypfun import BERS_BOUNDS, C1, C2, EPSILON, Constants, FNPoint, collar_width
 from .topology import SurfaceType, builtin_surface
 from .volumes import volume_table_load
 
@@ -178,9 +178,11 @@ def check_square_integrability(cfg: RunConfig):
 # --- 4 -----------------------------------------------------------------
 
 
-def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = EPSILON):
+def _thin_points(count: int, seed: int):
+    """Points with ell log-uniform in [1e-3, EPSILON] and tau in [0, ell)."""
     import numpy as np
 
+    lo, hi = 1e-3, EPSILON
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _THIN_STREAM]))
     ells = np.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random(count))
     taus = ells * rng.random(count)
@@ -190,24 +192,22 @@ def _thin_points(count: int, seed: int, lo: float = 1e-3, hi: float = EPSILON):
 @_check("sandwich-bounds")
 def check_sandwich(cfg: RunConfig):
     """Calibrated two-sided bound C1·F <= Bhat <= C2·F, zero violations."""
-    consts = Constants(bers_bound=BERS_BOUNDS["S11"])
-    eps, c1, c2 = consts.epsilon, consts.c1, consts.c2
     ells, taus = torus.sample_bers_box(80, cfg.seed)  # box samples
     pts = [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
     pts += _thin_points(20, cfg.seed)  # deliberate thin samples, ell in [1e-3, EPSILON]
     lo_ratio, hi_ratio, violations = math.inf, 0.0, 0
     for X in pts:
-        F = bounds.f_value(FNPoint((X.ell,), (X.tau,)), eps)
+        F = bounds.f_value(FNPoint((X.ell,), (X.tau,)), EPSILON)
         B = torus.b_hat(X, torus.BHAT_LMAX)
         r = B / F
         lo_ratio, hi_ratio = min(lo_ratio, r), max(hi_ratio, r)
-        if not (c1 * F <= B <= c2 * F):
+        if not (C1 * F <= B <= C2 * F):
             violations += 1
     ok = violations == 0
     return (
         ok,
         "%d violations on %d samples; Bhat/F in [%s, %s] vs [C1, C2] = [%g, %g]" % (
-            violations, len(pts), _fmt(lo_ratio), _fmt(hi_ratio), c1, c2),
+            violations, len(pts), _fmt(lo_ratio), _fmt(hi_ratio), C1, C2),
         "zero violations",
     )
 

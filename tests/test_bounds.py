@@ -13,7 +13,7 @@ from multicurve.bounds import (
     count_upper,
     f_value,
 )
-from multicurve.hypfun import Constants, FNPoint, h_max, r_weight
+from multicurve.hypfun import C1, C2, COMPARISON_C, Constants, FNPoint, h_max, r_weight
 from multicurve.topology import builtin_surface
 
 
@@ -66,11 +66,11 @@ def test_b_upper_formula_substitution():
     M = h_max(consts.epsilon, consts.bers_bound)
     # thick point, k = 0: C^2 * 2^g * M / 2!
     fn = FNPoint((1.5,), (0.0,))
-    expected = consts.comparison_c**2 * 2.0 * M / 2.0
+    expected = COMPARISON_C**2 * 2.0 * M / 2.0
     assert b_upper(surf, fn, consts) == pytest.approx(expected, rel=1e-14)
     # thin point, k = 1: C^2 * 2^(g+1) / 2! * R(l)
     thin = FNPoint((0.05,), (0.0,))
-    expected = consts.comparison_c**2 * 4.0 / 2.0 * r_weight(0.05)
+    expected = COMPARISON_C**2 * 4.0 / 2.0 * r_weight(0.05)
     assert b_upper(surf, thin, consts) == pytest.approx(expected, rel=1e-14)
 
 
@@ -120,7 +120,7 @@ def test_count_upper_is_l_independent():
 def test_count_upper_requires_large_l():
     surf, _ = builtin_surface("S11")
     fn = FNPoint((0.1,), (0.0,))
-    L0 = CONSTS.bers_bound / CONSTS.comparison_c
+    L0 = CONSTS.bers_bound / COMPARISON_C
     with pytest.raises(ValueError, match="bound requires L >="):
         count_upper(surf, fn, 0.9 * L0, CONSTS)
     assert count_upper(surf, fn, L0, CONSTS) > 0
@@ -132,7 +132,7 @@ def test_count_upper_formula_substitution():
     M = h_max(consts.epsilon, consts.bers_bound)
     fn = FNPoint((0.05,), (0.0,))
     # (3g-2+n)^N 8^N C^2N 2^k M^(N-k) F with g=0, n=4, N=1, k=1
-    expected = 2.0 * 8.0 * consts.comparison_c**2 * 2.0 * r_weight(0.05)
+    expected = 2.0 * 8.0 * COMPARISON_C**2 * 2.0 * r_weight(0.05)
     assert count_upper(surf, fn, 10.0, consts) == pytest.approx(expected, rel=1e-14)
 
 
@@ -147,11 +147,11 @@ def test_bound_report_shape():
     fn = FNPoint((0.08,), (0.25,))
     report = bound_report(surf, fn, CONSTS)
     assert isinstance(report, BoundReport)
-    assert report.lower == CONSTS.c1 * report.f_value
-    assert report.upper == CONSTS.c2 * report.f_value
+    assert report.lower == C1 * report.f_value
+    assert report.upper == C2 * report.f_value
     assert report.lower <= report.upper
     assert report.constants["k"] == 1
-    assert report.constants["C"] == CONSTS.comparison_c
+    assert report.constants["C"] == COMPARISON_C
     d = report.as_dict()
     assert set(d) == {
         "f_value",

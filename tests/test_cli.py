@@ -408,9 +408,12 @@ def test_missing_volume_table_exits_2(capsys, tmp_path):
 
 
 def test_degenerate_geometry_exits_3(capsys):
-    # coth(ell/2) rounds to 1 at ell = 800, cosh(ell/2) at ell = 1e-8
-    for ell, length in (("800", "5"), ("1e-8", "9")):
-        assert cli.main(["torus", "count", "--ell", ell, "--tau", "0", "--length", length]) == 3
+    # coth(ell/2) rounds to 1 at ell = 800, cosh(ell/2) at ell = 1e-8; at
+    # (19.5, 17.55) and (45, 44.95) no slope reads as short enough to be a
+    # systole, and both used to print a wrong one and exit 0
+    for ell, tau, length in (("800", "0", "5"), ("1e-8", "0", "9"),
+                             ("19.5", "17.55", "4"), ("45", "44.95", "5")):
+        assert cli.main(["torus", "count", "--ell", ell, "--tau", tau, "--length", length]) == 3
         err = capsys.readouterr().err
         assert "degenerated" in err
     # x*y - z = 2.000025 cancels to -832 here: the walk raised a bare

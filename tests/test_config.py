@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from multicurve.config import ConfigError, RunConfig, load_config
-from multicurve.hypfun import BERS_BOUNDS, EPSILON, Constants
+from multicurve.hypfun import BERS_BOUNDS, C1, C2, COMPARISON_C, EPSILON, Constants
 from multicurve.topology import builtin_surface
 
 # keys of configs saved while the calibrated constants, the thin threshold
@@ -46,8 +46,11 @@ def test_constants_view():
     consts = Constants(bers_bound=BERS_BOUNDS["S11"])
     assert consts.epsilon == EPSILON == 0.1
     assert consts.bers_bound == BERS_BOUNDS["S11"] == pytest.approx(2 * math.acosh(1.5), rel=1e-15)
-    # the calibrated constants are the Constants defaults
-    assert (consts.comparison_c, consts.c1, consts.c2) == (4.0, 0.25, 2.25)
+    # the calibrated constants are module constants, not Constants fields
+    assert (COMPARISON_C, C1, C2) == (4.0, 0.25, 2.25)
+    for key in ("comparison_c", "c1", "c2"):
+        with pytest.raises(TypeError):
+            Constants(**{key: 1.0})
     # an --epsilon override and the per-surface bers bound flow through
     assert replace(consts, epsilon=0.05).epsilon == 0.05
     assert Constants(bers_bound=BERS_BOUNDS["S12"]).bers_bound == 6.0

@@ -5,6 +5,9 @@ from hypothesis import given, strategies as st
 
 from multicurve.hypfun import (
     BERS_BOUNDS,
+    C1,
+    C2,
+    COMPARISON_C,
     EPSILON,
     Constants,
     FNPoint,
@@ -161,6 +164,6 @@ def test_constants_defaults():
     c = Constants()
     assert c.epsilon == EPSILON
     assert 0 < c.epsilon < 1 < c.bers_bound
-    assert c.comparison_c >= 1
-    assert 0 < c.c1 <= c.c2
+    assert COMPARISON_C >= 1
+    assert 0 < C1 <= C2
     assert c.bers_bound == pytest.approx(2 * math.acosh(1.5), rel=1e-12)

@@ -2,18 +2,19 @@
 scalar lattice-ball walk, and against each other: trace_of_slope against
 the traces the walks list."""
 
+import importlib
 import inspect
 import math
 import random
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
 import multicurve
 from multicurve import _kernels
-from multicurve._kernels import _pykernels
 from multicurve.dtlattice import parity_masks
 from multicurve.topology import builtin_surface
 from multicurve.torus import TorusPoint, count_b, count_s, fn_to_triple
@@ -53,9 +54,9 @@ def _assert_pure_walks_match(triple, radii):
     for L in radii:
         upto, multi, slopes = _oracle(*triple, L)
         case = (triple, L)
-        assert _pykernels.count_upto(*triple, L) == upto, case
-        assert _pykernels.count_multi(*triple, L) == multi, case
-        assert _pykernels.slopes_upto(*triple, L) == slopes, case
+        assert _kernels.count_upto(*triple, L) == upto, case
+        assert _kernels.count_multi(*triple, L) == multi, case
+        assert _kernels.slopes_upto(*triple, L) == slopes, case
 
 
 def _triple(X):
@@ -172,9 +173,9 @@ def test_pure_walks_match_oracle_on_a_seeded_sweep():
         for _ in range(10):
             L = 10 ** rng.uniform(-2.0, math.log10(top[kind]))
             upto, multi, slopes = _oracle(*triple, L)
-            assert _pykernels.count_upto(*triple, L) == upto, (triple, L)
-            assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
-            assert _pykernels.slopes_upto(*triple, L) == slopes, (triple, L)
+            assert _kernels.count_upto(*triple, L) == upto, (triple, L)
+            assert _kernels.count_multi(*triple, L) == multi, (triple, L)
+            assert _kernels.slopes_upto(*triple, L) == slopes, (triple, L)
             calls += 3
     assert calls >= 7650
 
@@ -187,24 +188,24 @@ def test_pure_walks_match_oracle_on_a_seeded_sweep():
 
 
 def _spy(monkeypatch, *names):
-    """The argument tuples of every call to the named _pykernels helpers,
+    """The argument tuples of every call to the named _kernels helpers,
     which the kernels look up in the module at each call.  The kept pair of
     the last thin walk is dropped first, so that every spied walk runs."""
-    _pykernels._thin_walk.cache_clear()
+    _kernels._thin_walk.cache_clear()
     calls = {name: [] for name in names}
     for name in names:
-        def wrapper(*args, f=getattr(_pykernels, name), seen=calls[name]):
+        def wrapper(*args, f=getattr(_kernels, name), seen=calls[name]):
             seen.append(args)
             return f(*args)
-        monkeypatch.setattr(_pykernels, name, wrapper)
+        monkeypatch.setattr(_kernels, name, wrapper)
     return calls
 
 
 def _assert_counts_match(triple, radii):
     for L in radii:
         upto, multi, _ = _oracle(*triple, L)
-        assert _pykernels.count_upto(*triple, L) == upto, (triple, L)
-        assert _pykernels.count_multi(*triple, L) == multi, (triple, L)
+        assert _kernels.count_upto(*triple, L) == upto, (triple, L)
+        assert _kernels.count_multi(*triple, L) == multi, (triple, L)
 
 
 def _spine_tie_radii(triple, slopes, ks):
@@ -212,7 +213,7 @@ def _spine_tie_radii(triple, slopes, ks):
     # either side: there the slope sits on count_multi's k-th threshold
     out = []
     for j in slopes:
-        length = 2.0 * math.acosh(_pykernels.trace_of_slope(*triple, 1, j) / 2.0)
+        length = 2.0 * math.acosh(_kernels.trace_of_slope(*triple, 1, j) / 2.0)
         for k in ks:
             out += [math.nextafter(k * length, 0.0), k * length, math.nextafter(k * length, math.inf)]
     return out
@@ -251,8 +252,8 @@ def test_array_path_matches_oracle_with_more_lanes_than_one_array_holds(monkeypa
     # sets of _SEGMENT lanes (a spine segment gives at most _SEGMENT - 1)
     calls = _spy(monkeypatch, "_lockstep", "_tally")
     _assert_counts_match(_triple(TorusPoint(3e-3, 0.37 * 3e-3)), [80.0])
-    assert sum(len(args[2]) for args in calls["_lockstep"]) > 2 * _pykernels._SEGMENT
-    assert _pykernels._SEGMENT in [len(args[0]) for args in calls["_tally"]]
+    assert sum(len(args[2]) for args in calls["_lockstep"]) > 2 * _kernels._SEGMENT
+    assert _kernels._SEGMENT in [len(args[0]) for args in calls["_tally"]]
 
 
 def test_array_path_is_mirror_symmetric(monkeypatch):
@@ -262,7 +263,7 @@ def test_array_path_is_mirror_symmetric(monkeypatch):
     calls = _spy(monkeypatch, "_spine")
     for ell, L in ((1e-3, 50.0), (3e-3, 80.0), (1e-2, 60.0)):
         x, y, z = _triple(TorusPoint(ell, 0.37 * ell))
-        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+        for kernel in (_kernels.count_upto, _kernels.count_multi):
             calls["_spine"].clear()
             assert kernel(y, x, z, L) == kernel(x, y, z, L), (ell, L, kernel)
             # the mirrored walk's spine edges (y, x, z) and (y, x, xy - z),
@@ -298,8 +299,8 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
     for X in points:
         count_s(X, 1, 80.0)
         count_b(X, 80.0)
-    bands = (_pykernels._band(80.0, 1), _pykernels._band(80.0, 2))
-    assert [args[5:] for args in calls.pop("_phase1")] == [_pykernels._UNIT_BANDS, bands] * len(points)
+    bands = (_kernels._band(80.0, 1), _kernels._band(80.0, 2))
+    assert [args[5:] for args in calls.pop("_phase1")] == [_kernels._UNIT_BANDS, bands] * len(points)
     assert not any(calls.values())
     count_b(TorusPoint(1e-3, 0.0), 20.0)
     assert calls["_thin_walk"] and calls["_spine"] and calls["_climb"]
@@ -347,25 +348,25 @@ def test_close_tallies_both_numbers_in_one_pass():
     cases += [((x, y, z), 10.0), ((y, x, x * y - z), 10.0)]
     for triple, L in cases:
         upto, multi, _ = _oracle(*triple, L)
-        tmax = _pykernels._trace_bound(L)
-        bands = _pykernels._band(L, 1), _pykernels._band(L, 2)
-        unit, grow = _pykernels._phase1(*triple, L, tmax, *_pykernels._UNIT_BANDS)
-        total, _ = _pykernels._phase1(*triple, L, tmax, *bands)
+        tmax = _kernels._trace_bound(L)
+        bands = _kernels._band(L, 1), _kernels._band(L, 2)
+        unit, grow = _kernels._phase1(*triple, L, tmax, *_kernels._UNIT_BANDS)
+        total, _ = _kernels._phase1(*triple, L, tmax, *bands)
         assert grow, (triple, L)
-        n, m = _pykernels._close(list(grow), L, tmax, *_pykernels._UNIT_BANDS)
+        n, m = _kernels._close(list(grow), L, tmax, *_kernels._UNIT_BANDS)
         assert n == m == upto - unit, (triple, L)
-        assert _pykernels._close(list(grow), L, tmax, *bands) == (n, multi - total), (triple, L)
+        assert _kernels._close(list(grow), L, tmax, *bands) == (n, multi - total), (triple, L)
 
 
 # --- the kept pair of a thin walk -------------------------------------------
 
 
 def _walks_in_both_orders(triple, L):
-    _pykernels._thin_walk.cache_clear()
-    first = (_pykernels.count_upto(*triple, L), _pykernels.count_multi(*triple, L))
-    _pykernels._thin_walk.cache_clear()
-    multi = _pykernels.count_multi(*triple, L)
-    return first, (_pykernels.count_upto(*triple, L), multi)
+    _kernels._thin_walk.cache_clear()
+    first = (_kernels.count_upto(*triple, L), _kernels.count_multi(*triple, L))
+    _kernels._thin_walk.cache_clear()
+    multi = _kernels.count_multi(*triple, L)
+    return first, (_kernels.count_upto(*triple, L), multi)
 
 
 def test_kept_pair_matches_oracle_in_either_order():
@@ -383,7 +384,7 @@ def test_kept_pair_matches_oracle_in_either_order():
 def test_count_pair_at_one_point_walks_once(monkeypatch):
     # _spine runs once per spine edge of the base curve in each walk
     calls = _spy(monkeypatch, "_spine")
-    upto, multi = _pykernels.count_upto, _pykernels.count_multi
+    upto, multi = _kernels.count_upto, _kernels.count_multi
     L = 20.0
     X, Y = TorusPoint(1e-3, 0.37e-3), TorusPoint(1e-3, 0.2e-3)
     x, y, z = _triple(X)
@@ -398,7 +399,7 @@ def test_count_pair_at_one_point_walks_once(monkeypatch):
     at_y = spines((multi, _triple(Y) + (L,)))
     assert at_x > 0 and at_y > 0
     # count_s then count_b at one (X, L) walk once, and in the other order
-    _pykernels._thin_walk.cache_clear()
+    _kernels._thin_walk.cache_clear()
     assert spines((count_s, (X, 1, L)), (count_b, (X, L))) == at_x
     assert spines((count_b, (Y, L)), (count_s, (Y, 1, L))) == at_y
     # L one ulp away, the mirrored roots, or another point in between
@@ -406,16 +407,16 @@ def test_count_pair_at_one_point_walks_once(monkeypatch):
     assert spines((upto, (x, y, z, L)), (multi, (y, x, z, L))) == 2 * at_x
     assert spines((upto, (x, y, z, L)), (upto, _triple(Y) + (L,)), (multi, (x, y, z, L))) == 2 * at_x + at_y
     # the same call again reads the kept pair
-    _pykernels._thin_walk.cache_clear()
+    _kernels._thin_walk.cache_clear()
     assert spines((multi, (x, y, z, L)), (multi, (x, y, z, L)), (upto, (x, y, z, L))) == at_x
 
 
 def test_errors_are_raised_on_every_call_never_kept(monkeypatch):
     calls = _spy(monkeypatch, "_thin_walk", "_spine")
     thin = _triple(TorusPoint(1e-3, 0.37e-3))
-    kept = _pykernels.count_upto(*thin, 20.0)
+    kept = _kernels.count_upto(*thin, 20.0)
     for _ in range(2):
-        for kernel in (_pykernels.count_upto, _pykernels.count_multi):
+        for kernel in (_kernels.count_upto, _kernels.count_multi):
             # a thin walk whose traces fall to 2 inside it
             with pytest.raises(ArithmeticError, match="inside the walk"):
                 kernel(2.01, 1e80, 1.5e80, 1400.0)
@@ -428,10 +429,10 @@ def test_errors_are_raised_on_every_call_never_kept(monkeypatch):
                 kernel(thin[0], thin[1], 2.0, 20.0)
     # the failing thin walk ran on each of its four calls; the bad radii and
     # roots never got past the checks to the kept pair, which still holds
-    assert calls["_thin_walk"] == [thin + (20.0, _pykernels._trace_bound(20.0))] + [
-        (2.01, 1e80, 1.5e80, 1400.0, _pykernels._trace_bound(1400.0))] * 4
+    assert calls["_thin_walk"] == [thin + (20.0, _kernels._trace_bound(20.0))] + [
+        (2.01, 1e80, 1.5e80, 1400.0, _kernels._trace_bound(1400.0))] * 4
     walked = len(calls["_spine"])
-    assert _pykernels.count_upto(*thin, 20.0) == kept
+    assert _kernels.count_upto(*thin, 20.0) == kept
     assert len(calls["_spine"]) == walked
 
 
@@ -445,7 +446,7 @@ def test_thin_walk_memory_does_not_grow_with_the_radius():
     for L, count in ((40.0, 803859), (60.0, 1811577)):
         tracemalloc.start()
         try:
-            n = _pykernels.count_multi(tr.x, tr.y, tr.z, L)
+            n = _kernels.count_multi(tr.x, tr.y, tr.z, L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,10 +473,10 @@ def test_count_multi_band_is_empty_where_it_cannot_be_proved():
     # takes the exact formula; the results still match the reference
     tr = fn_to_triple(TorusPoint(1e-3, 0.0))
     for L in (1e-9, 1e-6, 1e-4, 0.0, -0.5, -3.0):
-        assert _pykernels.count_multi(tr.x, tr.y, tr.z, L) == _oracle(tr.x, tr.y, tr.z, L)[1]
+        assert _kernels.count_multi(tr.x, tr.y, tr.z, L) == _oracle(tr.x, tr.y, tr.z, L)[1]
     for k in (1, 2):
         for L in (1e-300, 1e-9, 1e-7, 0.0, -0.0, -1e-9, -1.0, -40.0):
-            assert _pykernels._band(L, k) == (math.inf, -math.inf), (L, k)
+            assert _kernels._band(L, k) == (math.inf, -math.inf), (L, k)
 
 
 def test_bands_lie_inside_their_floor_interval():
@@ -483,9 +484,9 @@ def test_bands_lie_inside_their_floor_interval():
     radii = [1e-3, 0.01, 0.1, 1.0, 2.5, 10.0, 80.0, 160.0, 700.0]
     radii += [10 ** rng.uniform(-3.0, 2.8) for _ in range(200)]
     for L in radii:
-        assert [v.hex() for v in _pykernels._band(L, 1)] == [v.hex() for v in _unit_band_before(L)], L
+        assert [v.hex() for v in _kernels._band(L, 1)] == [v.hex() for v in _unit_band_before(L)], L
         for k in (1, 2):
-            lo, hi = _pykernels._band(L, k)
+            lo, hi = _kernels._band(L, k)
             assert lo < hi, (L, k)
             # strictly inside the traces of lengths L/(k+1) and L/k
             assert 2.0 * math.cosh(L / (2.0 * (k + 1))) < lo < hi < 2.0 * math.cosh(L / (2.0 * k))
@@ -493,17 +494,17 @@ def test_bands_lie_inside_their_floor_interval():
             for t in (lo, math.nextafter(lo, math.inf), math.nextafter(hi, 0.0), hi):
                 assert math.floor(L / (2.0 * math.acosh(t / 2.0))) == k, (L, k, t)
         # the floor-2 band ends below the unit band
-        assert _pykernels._band(L, 2)[1] < _pykernels._band(L, 1)[0]
+        assert _kernels._band(L, 2)[1] < _kernels._band(L, 1)[0]
 
 
 def test_pure_walks_reject_unbounded_radius():
     # an infinite or NaN trace bound prunes nothing, so the walk would not end
     for L in (math.inf, math.nan):
-        for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
+        for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
             with pytest.raises(ArithmeticError, match="not finite"):
                 kernel(3.0, 3.0, 3.0, L)
     with pytest.raises(OverflowError):
-        _pykernels.count_upto(3.0, 3.0, 3.0, 1500.0)
+        _kernels.count_upto(3.0, 3.0, 3.0, 1500.0)
 
 
 def test_pure_walks_reject_roots_at_or_below_2():
@@ -513,7 +514,7 @@ def test_pure_walks_reject_roots_at_or_below_2():
     # too: at z = 2, x*y - z = 1 or z = NaN the walks hung, and count_multi
     # divided by the zero length of z = 2
     bad = (2.0, 1.5, math.nextafter(2.0, 0.0), -3.0, math.inf, math.nan)
-    for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
+    for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
         for t in bad:
             # (5, 5, 25 - t) puts t at x*y - z
             for roots in ((t, 5.0, 5.0), (5.0, t, 5.0), (5.0, 5.0, t), (5.0, 5.0, 25.0 - t)):
@@ -533,7 +534,7 @@ def test_pure_walks_raise_arithmetic_error_where_a_trace_inside_falls_to_2():
     # slopes_upto hung at (2.1, 10, 2.2): the first trace below 2 appears
     # at depth 1, and from there on the negative traces are always pushed
     for roots, L in (((2.01, 1e80, 1.5e80), 1400.0), ((2.1, 10.0, 2.2), 5.0)):
-        for kernel in (_pykernels.count_upto, _pykernels.count_multi, _pykernels.slopes_upto):
+        for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
             with pytest.raises(ArithmeticError, match="inside the walk") as info:
                 kernel(*roots, L)
             assert not isinstance(info.value, ValueError)
@@ -544,31 +545,40 @@ def test_lattice_ball_kernels_reject_non_finite_radius():
     # a NaN radius would count -1 points, and an infinite one would never end
     for L in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            _pykernels.count_ball((1.0,), (1.0,), (0,), L)
+            _kernels.count_ball((1.0,), (1.0,), (0,), L)
         with pytest.raises(ValueError, match="finite"):
-            _pykernels.ball_m_vectors((1.0, 0.5), (3,), L)
-    assert _pykernels.count_ball((1.0,), (1.0,), (0,), 0.0) == 0
-    assert _pykernels.count_ball((1.0,), (1.0,), (0,), -1.0) == 0
-    assert list(_pykernels.ball_m_vectors((1.0,), (0,), -1.0)) == []
+            _kernels.ball_m_vectors((1.0, 0.5), (3,), L)
+    assert _kernels.count_ball((1.0,), (1.0,), (0,), 0.0) == 0
+    assert _kernels.count_ball((1.0,), (1.0,), (0,), -1.0) == 0
+    assert list(_kernels.ball_m_vectors((1.0,), (0,), -1.0)) == []
 
 
 def test_backend_identifies_itself():
     assert multicurve.kernel_backend == "pure"
-    for name in ("count_ball", "trace_of_slope", "slopes_upto", "count_upto", "count_multi"):
-        assert getattr(_kernels, name) is getattr(_pykernels, name), name
+
+
+def test_benchmark_harness_finds_the_kernel_module(monkeypatch):
+    # the micro-table times every backend that backends() finds, and the
+    # run's environment line names the active one: both must see the one
+    # kernel module
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    kernel_table = importlib.import_module("kernel_table")
+    run = importlib.import_module("run")
+    assert kernel_table.backends() == {"pure": _kernels}
+    assert run.environment(1, "moduli-mc")["kernel_backend"] == "pure"
 
 
 def test_pure_kernel_basics():
     # S11 unit ball of radius 2 has 6 points; at an integer radius L it has
     # L^2 + L, here over 10^7 m-vectors and so over 300 array passes
-    assert _pykernels.count_ball((1.0,), (1.0,), (0,), 2.0) == 6
-    assert _pykernels.count_ball((1.0,), (1.0,), (0,), 1e7) == 10**14 + 10**7
-    assert _pykernels.count_ball((3.0,), (3.0,), (0,), 2.0) == 0
-    assert _pykernels.trace_of_slope(3.0, 3.0, 3.0, 0, 1) == 3.0
-    assert _pykernels.trace_of_slope(3.0, 3.0, 3.0, 1, 0) == 3.0
-    assert _pykernels.trace_of_slope(3.0, 3.0, 3.0, 2, 1) == 6.0
-    assert _pykernels.count_upto(3.0, 3.0, 3.0, 9.0) == 24
-    assert _pykernels.count_multi(3.0, 3.0, 3.0, 9.0) == 36
+    assert _kernels.count_ball((1.0,), (1.0,), (0,), 2.0) == 6
+    assert _kernels.count_ball((1.0,), (1.0,), (0,), 1e7) == 10**14 + 10**7
+    assert _kernels.count_ball((3.0,), (3.0,), (0,), 2.0) == 0
+    assert _kernels.trace_of_slope(3.0, 3.0, 3.0, 0, 1) == 3.0
+    assert _kernels.trace_of_slope(3.0, 3.0, 3.0, 1, 0) == 3.0
+    assert _kernels.trace_of_slope(3.0, 3.0, 3.0, 2, 1) == 6.0
+    assert _kernels.count_upto(3.0, 3.0, 3.0, 9.0) == 24
+    assert _kernels.count_multi(3.0, 3.0, 3.0, 9.0) == 36
 
 
 def test_trace_of_slope_is_the_listed_trace():
@@ -582,18 +592,18 @@ def test_trace_of_slope_is_the_listed_trace():
     slopes = [(0, 1), (1, 0), (1, 1), (-1, 1), (2, 1), (-3, 2), (5, 8), (-7, 5)]
     for x, y, z in triples:
         for p, q in slopes:
-            t = _pykernels.trace_of_slope(x, y, z, p, q)
+            t = _kernels.trace_of_slope(x, y, z, p, q)
             assert t > 2.0, ((x, y, z), (p, q))
             # a radius a little past the slope's length: the walk lists it
-            listed = _pykernels.slopes_upto(x, y, z, 2.0 * math.acosh(t / 2.0) + 0.1)
+            listed = _kernels.slopes_upto(x, y, z, 2.0 * math.acosh(t / 2.0) + 0.1)
             assert [u for u, b, a in listed if (a, b) == (p, q)] == [t], ((x, y, z), (p, q))
 
 
 def _spine_steps(x, y, z, L):
     """(slopes_upto's list, the number of times each of its two spine
     loops stepped), by tracing the lines that step them."""
-    code = _pykernels.slopes_upto.__code__
-    source, first = inspect.getsourcelines(_pykernels.slopes_upto)
+    code = _kernels.slopes_upto.__code__
+    source, first = inspect.getsourcelines(_kernels.slopes_upto)
     steps = {
         first + i: side
         for i, line in enumerate(source)
@@ -614,7 +624,7 @@ def _spine_steps(x, y, z, L):
     before = sys.gettrace()
     sys.settrace(calls)
     try:
-        listed = _pykernels.slopes_upto(x, y, z, L)
+        listed = _kernels.slopes_upto(x, y, z, L)
     finally:
         sys.settrace(before)
     return listed, ran
@@ -632,11 +642,11 @@ def test_slopes_upto_lists_count_upto_slopes():
         cases.append((_triple(TorusPoint(ell, rng.uniform(-ell, ell))), rng.uniform(10.0, 30.0)))
     cases.append((_triple(TorusPoint(1e-3, 0.37e-3)), 30.0))
     for triple, L in cases:
-        slopes = _pykernels.slopes_upto(*triple, L)
-        assert len(slopes) == _pykernels.count_upto(*triple, L), (triple, L)
+        slopes = _kernels.slopes_upto(*triple, L)
+        assert len(slopes) == _kernels.count_upto(*triple, L), (triple, L)
         assert slopes == _oracle(*triple, L)[2], (triple, L)
     # at (3, 3, 3) slopes share traces, and ties go by q, then p
-    assert _pykernels.slopes_upto(3.0, 3.0, 3.0, 2.0 * math.acosh(3.0) + 1e-9) == [
+    assert _kernels.slopes_upto(3.0, 3.0, 3.0, 2.0 * math.acosh(3.0) + 1e-9) == [
         (3.0, 0, 1), (3.0, 1, 0), (3.0, 1, 1), (6.0, 1, -1), (6.0, 1, 2), (6.0, 2, 1)]
 
 
@@ -719,8 +729,8 @@ def _assert_ball_matches(name, ws, ls, L):
     masks = parity_masks(builtin_surface(name)[1])
     count, ms = _oracle_ball(ws, ls, masks, L)
     case = (name, ws, ls, L)
-    assert _pykernels.count_ball(ws, ls, masks, L) == count, case
-    assert list(_pykernels.ball_m_vectors(ws, masks, L)) == ms, case
+    assert _kernels.count_ball(ws, ls, masks, L) == count, case
+    assert list(_kernels.ball_m_vectors(ws, masks, L)) == ms, case
 
 
 def _sweep_balls(rng):
@@ -788,17 +798,17 @@ def test_count_ball_raises_where_int64_would_overflow():
     for ws, ls, masks in (((1.0,), (1e-300,), (0,)), ((1.0, 0.5), (1e-300, 1.0), (2, 2)),
                           ((1.0,), (2.0**-62,), (0,))):
         with pytest.raises(ArithmeticError, match="too large to count in int64"):
-            _pykernels.count_ball(ws, ls, masks, 1.0)
+            _kernels.count_ball(ws, ls, masks, 1.0)
     # below the guard the count is exact: 2^55 + 1 twists at m = 0, and
     # m = 1 alone, less the zero point
-    assert _pykernels.count_ball((1.0,), (2.0**-55,), (0,), 1.0) == 2**55 + 1
+    assert _kernels.count_ball((1.0,), (2.0**-55,), (0,), 1.0) == 2**55 + 1
 
 
 def test_count_ball_memory_does_not_grow_with_the_ball():
     # 2.2e8 points: each array pass holds at most 2^15 terms
     tracemalloc.start()
     try:
-        count = _pykernels.count_ball((0.75, 1.5, 2.5), (1.25, 0.5, 1.0), (7, 7), 64.0)
+        count = _kernels.count_ball((0.75, 1.5, 2.5), (1.25, 0.5, 1.0), (7, 7), 64.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from multicurve.torus import (
     BERS_11,
+    LENGTH_TIE_TOL,
     FrickeTriple,
     Slope,
     TorusPoint,
+    _systole_weight,
     b_hat,
     convergence_diagnostic,
     count_b,
@@ -298,14 +300,12 @@ def test_count_b_frozen_and_dominates():
 
 
 def test_estimate_b_ladder():
-    ladder = estimate_B(SYM, 40.0, rungs=3)
+    ladder = estimate_B(SYM, 40.0)
     assert [L for L, _ in ladder] == [10.0, 20.0, 40.0]
     for L, val in ladder:
         assert val == count_b(SYM, L) / L**2
     with pytest.raises(ValueError, match="Lmax"):
         estimate_B(SYM, 9.0)
-    with pytest.raises(ValueError, match="rungs"):
-        estimate_B(SYM, 40.0, rungs=1)
 
 
 def test_b_hat_frozen_and_converging():
@@ -315,7 +315,8 @@ def test_b_hat_frozen_and_converging():
 
 
 def test_convergence_diagnostic():
-    ladder = estimate_B(SYM, 80.0, rungs=4)
+    ladder = estimate_B(SYM, 80.0)
+    assert [L for L, _ in ladder[-2:]] == [40.0, 80.0]
     diag = convergence_diagnostic(ladder)
     assert 0 <= diag < 0.1
     assert convergence_diagnostic([(1.0, 0.5), (2.0, 0.0)]) == math.inf
@@ -330,6 +331,50 @@ def test_systole_slope():
     assert (s2.p, s2.q) == (0, 1)
     assert length2 == pytest.approx(0.05, rel=1e-12)
     assert mult2 == 1
+
+
+def test_systole_slope_raises_where_the_traces_degenerate():
+    # no surface has a systole above BERS_11, so an empty spectrum there is
+    # float degeneration.  In an 80-digit walk the systole at (19.5, 17.55)
+    # is -10/9, of length 1.7068, and at (45, 44.95) it is -1/1, of length
+    # 0.05; in floats the shortest slopes read 1.950 and 16.64 long
+    for ell, tau in ((19.5, 17.55), (45.0, 44.95)):
+        with pytest.raises(ArithmeticError, match="degenerated"):
+            systole_slope(TorusPoint(ell, tau))
+
+
+def _systole_weight_walking_to_ell(X):
+    # the weight's earlier rule, kept as a reference: its own walk of the
+    # spectrum to ell + tol rather than systole_slope's to the Bers bound
+    slopes = enumerate_short_slopes(X, X.ell + LENGTH_TIE_TOL)
+    shortest = slopes[0][1]
+    if shortest < X.ell - LENGTH_TIE_TOL:
+        return 0.0
+    mult = sum(1 for _, l in slopes if l <= shortest + LENGTH_TIE_TOL)
+    return 1.0 / mult
+
+
+def test_systole_weight_matches_the_walk_to_ell():
+    ells, taus = sample_bers_box(20000, SEED)
+    for ell, tau in zip(ells.tolist(), taus.tolist()):
+        X = TorusPoint(ell, tau)
+        assert _systole_weight(X) == _systole_weight_walking_to_ell(X), (ell, tau)
+    # the fundamental domain's edges: the base curve ties 1/0 at
+    # tau = 2 acosh(sinh(ell/2)) and -1/1 at ell minus that, and the
+    # neighbours sit on either side of the tie tolerance
+    seen = set()
+    for ell in (1.77, 1.8, 1.85, 1.9, 1.92):
+        edge = 2.0 * math.acosh(math.sinh(ell / 2.0))
+        for tau in (edge, ell - edge):
+            for step in (0.0, -5e-10, 5e-10, -2e-9, 2e-9):
+                X = TorusPoint(ell, tau + step)
+                w = _systole_weight(X)
+                assert w == _systole_weight_walking_to_ell(X), (ell, tau, step)
+                seen.add(w)
+    assert seen == {0.0, 0.5, 1.0}
+    # the hexagonal point, where 0/1, 1/0 and -1/1 all have length BERS_11
+    hexagonal = TorusPoint(BERS_11, BERS_11 / 2.0)
+    assert _systole_weight(hexagonal) == _systole_weight_walking_to_ell(hexagonal) == 1.0 / 3.0
 
 
 def test_every_box_point_has_short_systole():
