@@ -16,4 +16,12 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend  # noqa: F401
+
+def __getattr__(name):
+    # kernel_backend is read from the kernels module on first access, so that
+    # importing the package (and the command line) does not compile it
+    if name == "kernel_backend":
+        from ._kernels import BACKEND
+
+        return BACKEND
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

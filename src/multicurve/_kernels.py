@@ -72,8 +72,9 @@ runs the scalar loop alone, with the bands of the number asked for, and
 keeps nothing.
 
 numpy is imported inside the functions that build arrays, not with the
-module: importing it is about 0.18 s of a 0.40 s start-up, and most
-commands never reach an array.
+module: importing it takes about 0.11 s, more than the 0.09 s in which a
+fresh interpreter imports the command line, and most commands never reach
+an array.
 """
 
 from __future__ import annotations

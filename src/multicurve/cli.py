@@ -19,6 +19,10 @@ resolved configuration, so a saved output is a complete record of the run;
 verify prints a plain-text report that ends with that configuration.  Exit
 codes: 0 success, 1 verification check failed, 2 invalid configuration or
 arguments, 3 numeric failure.
+
+Each command handler imports the library modules it calls, so importing
+this module loads only the argument parser and the run configuration; a
+command compiles the layers it runs and no others.
 """
 
 from __future__ import annotations
@@ -30,13 +34,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import dtlattice, frequencies, thurston, torus, verify, wpcells
 from .config import ConfigError, RunConfig, load_config
-from .dtlattice import CombWeights
-from .hypfun import BERS_BOUNDS, EPSILON, Constants, FNPoint
-from .topology import builtin_surface
-from .volumes import volume_table_load
 
 
 def _cell(v) -> str:
@@ -78,6 +76,8 @@ def _parse_floats(text: str, what: str) -> list:
 
 def _parse_weights(text: str, cuffs: int) -> CombWeights:
     """Accept `w,l` (applied to every cuff) or `w1,..,wN,l1,..,lN`."""
+    from .dtlattice import CombWeights
+
     vals = _parse_floats(text, "--weights")
     if len(vals) == 2:
         vals = [vals[0]] * cuffs + [vals[1]] * cuffs
@@ -101,6 +101,9 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
+    from . import dtlattice
+    from .topology import builtin_surface
+
     surf, dec = builtin_surface(args.surface)
     wts = _parse_weights(args.weights, surf.cuff_count)
     if not 0 < args.length < math.inf:
@@ -135,6 +138,9 @@ def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
 
 
 def cmd_measure_ball(cfg: RunConfig, args) -> int:
+    from . import thurston
+    from .topology import builtin_surface
+
     surf, dec = builtin_surface(args.surface)
     wts = _parse_weights(args.weights, surf.cuff_count)
     radii = sorted(_parse_floats(args.lengths, "--lengths"))
@@ -179,6 +185,10 @@ def cmd_measure_ball(cfg: RunConfig, args) -> int:
 
 
 def cmd_bounds_eval(cfg: RunConfig, args) -> int:
+    from . import bounds
+    from .hypfun import BERS_BOUNDS, Constants, FNPoint
+    from .topology import builtin_surface
+
     surf, _dec = builtin_surface(args.surface)
     lengths = _parse_floats(args.lengths, "--lengths")
     if len(lengths) != surf.cuff_count:
@@ -198,7 +208,7 @@ def cmd_bounds_eval(cfg: RunConfig, args) -> int:
             raise ConfigError("--epsilon must lie in (0, 1)")
         consts = dataclasses.replace(consts, epsilon=args.epsilon)
     fn = FNPoint(tuple(lengths), tuple(twists))
-    report = bounds_mod.bound_report(surf, fn, consts)
+    report = bounds.bound_report(surf, fn, consts)
     _emit({"surface": args.surface, "report": report.as_dict()}, cfg, args.out)
     return 0
 
@@ -221,6 +231,8 @@ def _parse_functional_cells(text: str):
             raise ConfigError("Fp:<delta> needs a numeric delta, got %r" % text)
         if delta <= -2.0:
             raise ConfigError("Fp:<delta> needs delta > -2")
+        if not math.isfinite(delta):
+            raise ConfigError("Fp:<delta> needs a finite delta, got %r" % text)
         return ("power", 2.0 + delta)
     raise ConfigError(
         "unknown functional %r (choices: one, F2, Fp:<delta>, B-comb)" % text
@@ -228,6 +240,10 @@ def _parse_functional_cells(text: str):
 
 
 def cmd_cells_integrate(cfg: RunConfig, args) -> int:
+    from . import bounds, wpcells
+    from .hypfun import BERS_BOUNDS, EPSILON
+    from .topology import builtin_surface
+
     surf, _dec = builtin_surface(args.surface)
     eps = EPSILON if args.epsilon is None else args.epsilon
     spec = wpcells.CellSpec(
@@ -244,7 +260,7 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
         if kind == "one":
             functional = lambda fn: 1.0
         else:
-            functional = lambda fn: bounds_mod.b_comb(surf, fn)
+            functional = lambda fn: bounds.b_comb(surf, fn)
         res = wpcells.mc_integrate(functional, spec, args.samples, cfg.seed)
     doc = {
         "surface": args.surface,
@@ -277,6 +293,8 @@ def cmd_cells_integrate(cfg: RunConfig, args) -> int:
 
 def _builtin_cut(surface: str):
     """The surface's builtin cut and its calibrated kappa."""
+    from . import frequencies
+
     if surface not in frequencies.KAPPA:
         raise ConfigError(
             "no builtin cut with a calibrated kappa for %s (available: %s)"
@@ -286,6 +304,9 @@ def _builtin_cut(surface: str):
 
 
 def cmd_freq_compute(cfg: RunConfig, args) -> int:
+    from . import frequencies
+    from .volumes import volume_table_load
+
     cut, kappa = _builtin_cut(args.surface)
     table = volume_table_load(cfg.volume_table)
     try:
@@ -305,6 +326,9 @@ def cmd_freq_compute(cfg: RunConfig, args) -> int:
 
 
 def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
+    from . import frequencies
+    from .volumes import volume_table_load
+
     cut, kappa = _builtin_cut(args.surface)
     if args.surface != "S11":
         raise ConfigError(
@@ -332,6 +356,9 @@ def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
 
 
 def cmd_freq_joint(cfg: RunConfig, args) -> int:
+    from . import frequencies
+    from .volumes import volume_table_load
+
     cut, kappa = _builtin_cut("S11")
     table = volume_table_load(cfg.volume_table)
     if args.q1 < 1 or args.q2 < 1:
@@ -376,6 +403,8 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
 
 
 def cmd_torus_count(cfg: RunConfig, args) -> int:
+    from . import torus
+
     X = torus.TorusPoint(args.ell, args.tau)
     if not 0 < args.length < math.inf:
         raise ConfigError("--length must be positive and finite")
@@ -398,6 +427,8 @@ def cmd_torus_count(cfg: RunConfig, args) -> int:
 
 
 def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
+    from . import torus
+
     X = torus.TorusPoint(args.ell, args.tau)
     if not 0 < args.length < math.inf:
         raise ConfigError("--length must be positive and finite")
@@ -418,6 +449,8 @@ def cmd_torus_spectrum(cfg: RunConfig, args) -> int:
 
 
 def _parse_functional_torus(text: str):
+    from . import torus
+
     if text == "one":
         return lambda X: 1.0
     lmax = torus.BHAT_LMAX
@@ -443,6 +476,8 @@ def _parse_functional_torus(text: str):
 
 
 def cmd_torus_mc(cfg: RunConfig, args) -> int:
+    from . import torus
+
     functional = _parse_functional_torus(args.functional)
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
@@ -457,6 +492,8 @@ def cmd_torus_mc(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    from . import verify
+
     only = None
     if args.only:
         only = [v for v in args.only.split(",") if v]

@@ -91,6 +91,15 @@ def chunked_tolist(array):
     )
 
 
+def _row_tuples(chunk):
+    """The rows of a 2-D numpy chunk as tuples of Python floats.  The
+    transposed tolist() is one list per column, and zipping the columns
+    yields each row's tuple with no per-row list in between; a chunk with no
+    columns has empty rows."""
+    columns = chunk.T.tolist()
+    return zip(*columns) if columns else itertools.repeat((), len(chunk))
+
+
 _LENGTHS_MSG = "cuff lengths must be strictly positive and finite"
 
 
@@ -102,7 +111,8 @@ class FNPoint:
     A point built by the constructor checks its own lengths.  Points built
     from arrays of Monte Carlo draws go through from_draws, which checks the
     whole length array once and then builds every row without a per-point
-    check; either way a point holds tuples of Python floats.
+    check, its tuples zipped from the columns of a chunk; either way a point
+    holds tuples of Python floats.
     """
 
     lengths: tuple
@@ -136,12 +146,15 @@ class FNPoint:
     @classmethod
     def _rows(cls, ells, taus):
         new = object.__new__
-        for lengths, twists in zip(chunked_tolist(ells), chunked_tolist(taus)):
-            point = new(cls)
-            fields = point.__dict__
-            fields["lengths"] = tuple(lengths)
-            fields["twists"] = tuple(twists)
-            yield point
+        for lo in range(0, len(ells), _CHUNK):
+            lengths = _row_tuples(ells[lo : lo + _CHUNK])
+            twists = _row_tuples(taus[lo : lo + _CHUNK])
+            for point_lengths, point_twists in zip(lengths, twists):
+                point = new(cls)
+                fields = point.__dict__
+                fields["lengths"] = point_lengths
+                fields["twists"] = point_twists
+                yield point
 
 
 def thin_cuffs(fn, eps: float) -> set[int]:

@@ -14,12 +14,11 @@ CHUNK = 256
 
 def ordered_map(fn, items, threads: int = 1) -> list:
     items = list(items)
-    out = [None] * len(items)
     if threads <= 1 or len(items) <= CHUNK:
-        for i, item in enumerate(items):
-            out[i] = fn(item)
-        return out
+        return list(map(fn, items))
     from concurrent.futures import ThreadPoolExecutor
+
+    out = [None] * len(items)
 
     def run(span):
         lo, hi = span

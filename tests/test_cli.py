@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,23 +343,39 @@ def test_freq_names_only_surfaces_with_a_calibrated_kappa(capsys):
             "", "error: no builtin cut with a calibrated kappa for %s (available: S11)\n" % argv[3])
 
 
-def test_readme_commands_parse():
-    # parse only: a flag the docs show must still exist
+def _readme_commands():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     lines = [l for l in readme.read_text(encoding="utf-8").splitlines()
              if l.startswith("$ multicurve ")]
-    assert len(lines) >= 10
+    return [shlex.split(line)[2:] for line in dict.fromkeys(lines)]
+
+
+def test_readme_commands_parse():
+    # parse only: a flag the docs show must still exist
+    argvs = _readme_commands()
+    assert len(argvs) >= 10
     parser = cli.build_parser()
-    for line in lines:
-        args = parser.parse_args(shlex.split(line)[2:])
-        assert callable(args.run), line
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert callable(args.run), argv
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # each handler imports the modules it calls, so only running a command
+    # shows that its imports are all there; artifacts go to tmp_path
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 _NO_ARRAYS = """
 import contextlib, io, json, sys
 import multicurve.cli
+layers = ["multicurve." + m for m in ("torus", "verify", "_kernels", "wpcells", "bounds", "frequencies")]
 heavy = ("numpy", "scipy", "concurrent.futures")
-loaded = {"import": [m for m in heavy if m in sys.modules]}
+loaded = {"import": [m for m in heavy if m in sys.modules],
+          "layers": [m for m in layers if m in sys.modules]}
 for argv in (["freq", "sum-b", "--surface", "S11", "--cap", "10"],
              ["torus", "count", "--ell", "1.28", "--tau", "-0.96", "--length", "9"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -369,16 +386,18 @@ print(json.dumps(loaded))
 
 
 def test_commands_without_arrays_start_without_numpy():
-    # numpy is about 0.18 s of a 0.40 s start-up, and the thread pool and
+    # importing numpy takes about 0.11 s, more than the 0.09 s in which a
+    # fresh interpreter imports the command line, and the thread pool and
     # scipy are never needed by a serial command: a fresh interpreter that
     # imports the command line and runs commands that build no array loads
-    # none of them
+    # none of them.  Importing the command line compiles none of the library
+    # layers either: each handler imports those it calls
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _NO_ARRAYS], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"import": [], "sum-b": [], "count": []}
+    assert json.loads(done.stdout) == {"import": [], "layers": [], "sum-b": [], "count": []}
 
 
 def test_non_finite_numbers_exit_2(capsys):
@@ -396,6 +415,23 @@ def test_non_finite_numbers_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_cells_integrate_bad_powers_fail_cleanly(capsys):
+    # these printed "estimate": NaN after two numpy RuntimeWarnings, exit 0
+    base = ["cells", "integrate", "--surface", "S11", "--k", "1", "--floor", "1e-3",
+            "--samples", "1000", "--functional"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(base + ["Fp:800"]) == 3
+        assert capsys.readouterr() == (
+            "", "numeric failure: F^802.0 weights are not finite over thin lengths"
+                " above floor 0.001\n")
+        for bad in ("nan", "inf"):
+            assert cli.main(base + ["Fp:" + bad]) == 2
+            assert capsys.readouterr() == (
+                "", "error: Fp:<delta> needs a finite delta, got 'Fp:%s'\n" % bad)
+    assert caught == []
 
 
 def test_missing_volume_table_exits_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Chart cells, exact cell integrals, and the Monte Carlo integrators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate, stats
 
 from multicurve import hypfun, torus, wpcells
 from multicurve.hypfun import FNPoint
-from multicurve.topology import builtin_surface
+from multicurve.topology import SurfaceType, builtin_surface
 from multicurve.wpcells import (
     CellSpec,
     MCResult,
@@ -264,6 +265,7 @@ def result_bits(r):
 def point_bits(points):
     out = []
     for p in points:
+        assert type(p.lengths) is tuple and type(p.twists) is tuple
         assert all(type(v) is float for v in p.lengths + p.twists)
         out.append((tuple(v.hex() for v in p.lengths), tuple(v.hex() for v in p.twists)))
     return out
@@ -279,10 +281,20 @@ CELLS = [
 
 @pytest.mark.parametrize("spec", CELLS)
 def test_sample_cell_is_the_per_row_construction(spec):
-    # 3000 rows cross chunk boundaries of the batch reader
-    for count, seed in ((1, SEED), (300, SEED + 1), (3000, 981)):
+    # N = 1, 2 and 3 cuffs; the larger counts end one row before, at and one
+    # row after a chunk boundary of the batch reader, or well past one
+    chunk = hypfun._CHUNK
+    for count, seed in ((1, SEED), (300, SEED + 1), (chunk - 1, 983), (2 * chunk, 984),
+                        (2 * chunk + 1, 985), (3000, 981)):
         ref = ref_points(*wpcells._draw_cell(spec, count, seed))
         assert point_bits(sample_cell(spec, count, seed)) == point_bits(ref)
+
+
+def test_sample_cell_without_cuffs_gives_empty_rows():
+    # a pair of pants has no cuffs: zipping no columns must still give rows
+    spec = CellSpec(SurfaceType(0, 3), 0)
+    assert [(p.lengths, p.twists) for p in sample_cell(spec, 3, SEED)] == [((), ())] * 3
+    assert mc_integrate(lambda fn: 2.0, spec, 5, SEED) == MCResult(2.0, 0.0, 5, SEED)
 
 
 @pytest.mark.parametrize("spec", CELLS)
@@ -330,6 +342,74 @@ def test_mc_result_reads_arrays_and_lists_alike():
     vals[0], vals[-1] = 2.0**53, -(2.0**53)
     assert result_bits(mc_result(vals, 1.0, SEED)) == result_bits(ref_mc_result(vals, 1.0, SEED))
     assert mc_result(vals, chunk + 1.0, SEED).estimate == chunk - 1.0
+
+
+def test_mc_integrate_stops_at_the_first_non_finite_value():
+    spec = CELLS[3]
+    points = list(sample_cell(spec, 50, SEED))
+    seen = []
+
+    def f(fn):
+        seen.append(fn)
+        return {7: math.nan, 30: math.inf}.get(len(seen) - 1, 1.0)
+
+    with pytest.raises(ArithmeticError) as err:
+        mc_integrate(f, spec, 50, SEED)
+    assert seen == points[:8]
+    assert str(err.value) == "functional returned nan at lengths=%s twists=%s" % (
+        points[7].lengths, points[7].twists)
+
+
+def test_mc_result_squares_as_python_does():
+    # on glibc, numpy's d * d moves the last bit of each stderr here: its one
+    # rounded product differs from pow(d, 2.0), which ** calls, on a square
+    for hexes in (("0x1.661d4e3a6c052p-1", "0x1.77c6ed1ec376ep-2", "0x1.9d08124d482a4p-1"),
+                  ("0x1.28eae7d171498p-1", "0x1.9dab00285cb30p-2", "0x1.dbf5903a11424p-1"),
+                  ("0x1.de58c22453dacp-1", "0x1.96cc8b96f229cp-3", "0x1.4ab22f3a75baep-2")):
+        vals = [float.fromhex(h) for h in hexes]
+        ref = result_bits(ref_mc_result(vals, 1.0, SEED))
+        assert result_bits(mc_result(vals, 1.0, SEED)) == ref
+        assert result_bits(mc_result(np.array(vals), 1.0, SEED)) == ref
+
+
+def test_mc_result_raises_where_a_square_overflows(capfd):
+    # a square past the float range raises Python's OverflowError, and an
+    # infinite or NaN deviation passes silently, as in Python
+    values = [1e200, -1e200, 0.0]
+    with pytest.raises(OverflowError) as ref:
+        ref_mc_result(values, 1.0, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for vals in (values, np.array(values)):
+            with pytest.raises(OverflowError) as err:
+                mc_result(vals, 1.0, 1)
+            assert err.value.args == ref.value.args
+    assert caught == [] and capfd.readouterr().err == ""
+    # an infinite value is not an overflow: it reads inf and NaN as before
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for vals in ([math.inf, 1.0, 2.0], [1.0, math.nan], [1e-160, 0.0, 3e-170]):
+            for as_array in (vals, np.array(vals)):
+                assert repr(mc_result(as_array, 1.0, 1)) == repr(ref_mc_result(vals, 1.0, 1))
+    assert caught == []
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+def test_f_power_mc_rejects_a_non_finite_power(power):
+    with pytest.raises(ValueError, match="power must be finite"):
+        f_power_mc(CellSpec(S11, 1, thin_floor=1e-3), power, 10, SEED)
+
+
+@pytest.mark.parametrize("spec", [CellSpec(S11, 1, thin_floor=1e-3), CellSpec(S12, 2, thin_floor=1e-2)])
+def test_f_power_mc_raises_where_weights_are_not_finite(capfd, spec):
+    # F^802 overflowed to inf·0 = NaN weights and printed a NaN estimate
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError) as err:
+            f_power_mc(spec, 802.0, 1000, SEED)
+    assert str(err.value) == ("F^802.0 weights are not finite over thin lengths above floor %r"
+                              % spec.thin_floor)
+    assert caught == [] and capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("seed", [SEED, 981, 982])
