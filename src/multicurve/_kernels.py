@@ -52,15 +52,16 @@ most one root is that short.  It runs those spines and their side subtrees
 in arrays, and tallies both numbers at once: the slope count and the sum
 of floor(L / length).  The last pair is kept, so count_upto and count_multi
 called at one (x, y, z, L), as `torus count` calls them, walk once in
-either order.  A spine s' = t*s - s_prev with fixed end t is iterated in a
-tight loop and recorded in segments of at most 4096 traces; each
-segment's side children are one array expression s[1:]*s[:-1] - t, kept
-where <= tmax.  The side children then walk their own left spines in
-lockstep, as float64 arrays of at most 4096 lanes: count the lanes, emit
-the right children that are <= tmax as the next generation, step, and
-drop the lanes above tmax.  A lane set under 64, or a segment under 64
-traces, goes back to the scalar stack without numpy's set-up.  Past the
-last side child below tmax the spine is counted without being recorded,
+either order.  Phase 1 tallies both numbers in its one pass.  A spine
+s' = t*s - s_prev with fixed end t is iterated in a tight loop and
+recorded in segments of at most 4096 traces; each segment is tallied as
+one array, and its side children are one array expression
+s[1:]*s[:-1] - t, kept where <= tmax.  The side children then walk their
+own left spines in lockstep, as float64 arrays of at most 4096 lanes:
+count the lanes, emit the right children that are <= tmax as the next
+generation, step, and drop the lanes above tmax.  A lane set under 64
+goes back to the scalar stack without numpy's set-up.  Past the last
+side child below tmax the spine is counted without being recorded,
 by a loop that only steps and compares inside the band where the floor is
 1.  Every trace comes from the same IEEE operation on the same operands as
 in the scalar loop, and a child is dropped exactly when the scalar loop
@@ -405,26 +406,27 @@ _SHORT = 1024
 # 4096 and 2048-8192 within 3% of it, while the heaviest walk's
 # tracemalloc peak doubles with each doubling: 716 KB at 4096.
 _SEGMENT = 4096
-# Fewest lanes a lockstep step runs on, and fewest traces of a recorded
-# spine segment that take the array path; a smaller lane set or segment
-# goes back to the scalar stack.  A walk whose short root's spines hold
-# fewer traces <= tmax is not thin.  On point-queries' thin walks 16, 32
-# and 64 lanes ran within 1.3% of each other, 128 and 256 2% and 4% slower
-# than 64.
+# Fewest lanes a lockstep step runs on; a smaller lane set goes back to
+# the scalar stack.  A walk whose short root's spines hold fewer traces
+# <= tmax is not thin.  On point-queries' thin walks 16, 32 and 64 lanes
+# ran within 1.3% of each other, 128 and 256 2% and 4% slower than 64.
 _LANES = 64
 
 
 def _phase1(x, y, z, L, tmax, band1, band2):
-    """(n, grow) for phase 1 of a walk: n sums floor(L / length) over the
-    roots x, y and the nodes phase 1 visits, a trace strictly inside band1
-    adding 1 and one strictly inside band2 adding 2, and grow lists the
-    phase-2 edges (t_left, t_right, t_mediant) it stops at."""
+    """(count, n, grow) for phase 1 of a walk: count is the number of the
+    roots x, y and the nodes phase 1 visits with trace <= tmax, n sums
+    their floor(L / length), a trace strictly inside band1 adding 1 and one
+    strictly inside band2 adding 2, and grow lists the phase-2 edges
+    (t_left, t_right, t_mediant) it stops at.  Under _UNIT_BANDS n is
+    count."""
     acosh, floor = math.acosh, math.floor
     lo, hi = band1
     lo2, hi2 = band2
-    n = 0
+    count = n = 0
     for t in (x, y):
         if t <= tmax:
+            count += 1
             if lo < t < hi:
                 n += 1
             elif lo2 < t < hi2:
@@ -445,6 +447,7 @@ def _phase1(x, y, z, L, tmax, band1, band2):
                     grow.append((tl, tr, tm))
                     break
                 if tm <= tmax:
+                    count += 1
                     if lo < tm < hi:
                         n += 1
                     elif lo2 < tm < hi2:
@@ -459,7 +462,7 @@ def _phase1(x, y, z, L, tmax, band1, band2):
                     tr, tm = tm, c
                 else:
                     break
-    return n, grow
+    return count, n, grow
 
 
 @functools.lru_cache(maxsize=1)
@@ -480,12 +483,10 @@ def _thin_walk(x, y, z, L, tmax):
     it is above tmax; so it counts the same set of nodes, only in another
     order, and each with the floor the scalar loop gives it.  Which edges
     take the array path decides only the speed.  What the scalar loop
-    walks, the subtrees below the other phase-2 edges, short segments and
-    small lane sets, _close walks once for both numbers.  Phase 1, a
-    few nodes at a thin point, runs once for each."""
+    walks, the subtrees below the other phase-2 edges and small lane sets,
+    _close walks once for both numbers, as phase 1 walks its few nodes."""
     band1, band2 = _band(L, 1), _band(L, 2)
-    count, grow = _phase1(x, y, z, L, tmax, *_UNIT_BANDS)
-    total, _ = _phase1(x, y, z, L, tmax, band1, band2)
+    count, total, grow = _phase1(x, y, z, L, tmax, band1, band2)
     t, end = (x, 0) if x <= y else (y, 1)
     n, m = _close([edge for edge in grow if edge[end] != t], L, tmax, band1, band2)
     count, total = count + n, total + m
@@ -572,9 +573,10 @@ def _close(grow, L, tmax, band1, band2):
     return count, count + n
 
 
-def _floors(L, s, band1, band2):
+def _floors(L, s):
     """(edges, values) from which _tally reads floor(L / length) for traces
-    from s up, with the bands k = floor(L / length(s)), ..., 1.
+    from s up, with the bands _band(L, k) for k = floor(L / length(s)),
+    ..., 1.
 
     edges is the sorted array [nextafter(lo_k, inf), hi_k, ...], so that
     np.searchsorted(edges, t, "right") is odd exactly when lo_k < t < hi_k,
@@ -585,7 +587,7 @@ def _floors(L, s, band1, band2):
 
     edges, values = [], [0]
     for k in range(math.floor(L / (2.0 * math.acosh(s / 2.0))), 0, -1):
-        lo, hi = band1 if k == 1 else band2 if k == 2 else _band(L, k)
+        lo, hi = _band(L, k)
         if lo < hi:
             edges += [math.nextafter(lo, math.inf), hi]
             values += [k, 0]
@@ -661,10 +663,9 @@ def _spine(t, a, s, L, tmax, band1, band2):
     and (r, l, m) are mirror images with the same traces (l*m = m*l), so
     either spine hands its side children to _lockstep as (s_i, a_i, c).
     Side children above tmax are dropped, and the rest expanded before the
-    next segment is recorded.  A segment of fewer than _LANES traces does
-    not pay for numpy's set-up: its traces take _close's floor rule one by
-    one and its side children go to the scalar stack, and the band arrays
-    of _floors are built only for the first segment that is long enough.
+    next segment is recorded.  Every segment is tallied as one array, from
+    the band arrays _floors builds once per spine, at its first recorded
+    trace.
 
     With t > 2 and a < s, as at every phase-2 edge, the spine and its side
     children never decrease (see _close), so once a side child is above
@@ -701,38 +702,20 @@ def _spine(t, a, s, L, tmax, band1, band2):
             app(s)
         else:
             a, s = s, t * s - a
-        if len(seg) <= _LANES:
-            acosh, floor = math.acosh, math.floor
-            lo, hi = band1
-            lo2, hi2 = band2
-            side = []
-            for prev, v in zip(seg, seg[1:]):
-                if lo < v < hi:
-                    total += 1
-                elif lo2 < v < hi2:
-                    total += 2
-                else:
-                    total += floor(L / (2.0 * acosh(v / 2.0)))
-                c = v * prev - t
-                if c <= tmax:
-                    side.append((v, prev, c))
-            n, m = _close(side, L, tmax, band1, band2)
-            count, total = count + len(seg) - 1 + n, total + m
-        else:
-            import numpy as np
+        import numpy as np
 
-            if floors is None:
-                floors = _floors(L, seg[1], band1, band2)
-            # past L = 709 a product of two traces can overflow: it is inf
-            # and dropped, as in the scalar loop, which does not warn
-            with np.errstate(over="ignore"):
-                trace = np.fromiter(seg, np.float64, len(seg))
-                spine, prev = trace[1:], trace[:-1]
-                n, m = _tally(spine, L, floors)
-                side = spine * prev - t
-                keep = side <= tmax
-                n2, m2 = _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
-            count, total = count + n + n2, total + m + m2
+        if floors is None:
+            floors = _floors(L, seg[1])
+        # past L = 709 a product of two traces can overflow: it is inf and
+        # dropped, as in the scalar loop, which does not warn
+        with np.errstate(over="ignore"):
+            trace = np.fromiter(seg, np.float64, len(seg))
+            spine, prev = trace[1:], trace[:-1]
+            n, m = _tally(spine, L, floors)
+            side = spine * prev - t
+            keep = side <= tmax
+            n2, m2 = _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
+        count, total = count + n + n2, total + m + m2
         if not s <= tmax:
             return count, total
 
@@ -852,8 +835,9 @@ def _count(x, y, z, L, multi):
     its subtree every visited node keeps both ends <= tmax, so a child c
     above tmax is above both its ends: the rule reduces to c <= tmax, and
     every node visited is counted.  Phase 2 runs in _close, the scalar
-    loop, with the bands of the number asked for, and its sum is read:
-    under count_upto's _UNIT_BANDS the sum is the count.
+    loop.  Both phases run with the bands of the number asked for, and
+    their sums are read: under count_upto's _UNIT_BANDS the sum is the
+    count.
 
     A thin walk runs in _thin_walk instead, which tallies both numbers at
     once and keeps the last pair; it is looked up only once both checks
@@ -885,7 +869,7 @@ def _count(x, y, z, L, multi):
                 count, total = _thin_walk(x, y, z, L, tmax)
                 return total if multi else count
         band1, band2 = (_band(L, 1), _band(L, 2)) if multi else _UNIT_BANDS
-        n, grow = _phase1(x, y, z, L, tmax, band1, band2)
+        _, n, grow = _phase1(x, y, z, L, tmax, band1, band2)
         return n + _close(grow, L, tmax, band1, band2)[1]
     except ValueError as err:
         raise _fallen(x, y, z, L) from err

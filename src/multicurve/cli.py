@@ -204,8 +204,6 @@ def cmd_bounds_eval(cfg: RunConfig, args) -> int:
             )
     consts = Constants(bers_bound=BERS_BOUNDS[args.surface])
     if args.epsilon is not None:
-        if not (0 < args.epsilon < 1):
-            raise ConfigError("--epsilon must lie in (0, 1)")
         consts = dataclasses.replace(consts, epsilon=args.epsilon)
     fn = FNPoint(tuple(lengths), tuple(twists))
     report = bounds.bound_report(surf, fn, consts)
@@ -623,6 +621,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        # the thin-threshold override of bounds eval and cells integrate
+        if getattr(args, "epsilon", None) is not None and not 0 < args.epsilon < 1:
+            raise ConfigError("--epsilon must lie in (0, 1)")
         return args.run(cfg, args)
     except ArithmeticError as exc:
         sys.stderr.write("numeric failure: %s\n" % exc)

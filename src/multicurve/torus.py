@@ -44,7 +44,7 @@ from typing import NamedTuple
 from . import _kernels
 from .hypfun import TORUS_MAX_SYSTOLE
 from .runpar import ordered_map
-from .wpcells import MCResult, mc_result
+from .wpcells import MCResult, _rng, mc_result
 
 BERS_11 = TORUS_MAX_SYSTOLE
 LENGTH_TIE_TOL = 1e-9
@@ -225,7 +225,7 @@ def sample_bers_box(samples: int, seed: int):
     d(ell) d(tau); vectorized and seed-deterministic."""
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x70B5]))
+    rng = _rng(seed, 0x70B5)
     u = rng.random(samples)
     v = rng.random(samples)
     ells = BERS_11 * np.sqrt(1.0 - u)  # 1-u in (0,1]: no zero lengths

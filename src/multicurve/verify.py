@@ -183,7 +183,7 @@ def _thin_points(count: int, seed: int):
     import numpy as np
 
     lo, hi = 1e-3, EPSILON
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), _THIN_STREAM]))
+    rng = wpcells._rng(seed, _THIN_STREAM)
     ells = np.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * rng.random(count))
     taus = ells * rng.random(count)
     return [torus.TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]

@@ -237,5 +237,11 @@ def f_power_mc(spec: CellSpec, power: float, count: int, seed: int) -> MCResult:
             "F^%r weights are not finite over thin lengths above floor %r"
             % (power, spec.thin_floor)
         )
-    return mc_result(vals, 1.0, seed)
+    try:
+        return mc_result(vals, 1.0, seed)
+    except OverflowError as err:
+        raise ArithmeticError(
+            "F^%r weights overflow when summed or squared over thin lengths above floor %r"
+            % (power, spec.thin_floor)
+        ) from err
 

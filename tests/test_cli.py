@@ -427,11 +427,27 @@ def test_cells_integrate_bad_powers_fail_cleanly(capsys):
         assert capsys.readouterr() == (
             "", "numeric failure: F^802.0 weights are not finite over thin lengths"
                 " above floor 0.001\n")
+        # finite weights whose squared deviations overflow
+        assert cli.main(base + ["Fp:100"]) == 3
+        assert capsys.readouterr() == (
+            "", "numeric failure: F^102.0 weights overflow when summed or squared over thin"
+                " lengths above floor 0.001\n")
         for bad in ("nan", "inf"):
             assert cli.main(base + ["Fp:" + bad]) == 2
             assert capsys.readouterr() == (
                 "", "error: Fp:<delta> needs a finite delta, got 'Fp:%s'\n" % bad)
     assert caught == []
+
+
+def test_epsilon_is_checked_alike_for_both_commands(capsys):
+    # cells integrate named a bers_bound the user never set
+    for argv in (["bounds", "eval", "--surface", "S11", "--lengths", "0.5"],
+                 ["cells", "integrate", "--surface", "S11", "--samples", "10"]):
+        for eps in ("1.5", "1", "0", "-0.1", "nan"):
+            assert cli.main(argv + ["--epsilon", eps]) == 2, (argv, eps)
+            assert capsys.readouterr() == ("", "error: --epsilon must lie in (0, 1)\n")
+        assert cli.main(argv + ["--epsilon", "0.05"]) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_missing_volume_table_exits_2(capsys, tmp_path):

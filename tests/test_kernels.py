@@ -232,7 +232,7 @@ def test_array_path_matches_oracle_over_several_spine_segments(monkeypatch):
     at_50 = [args for args in calls["_lockstep"] if args[3] == 50.0]
     assert len(at_50) >= 3 * sum(args[3] == 50.0 for args in calls["_spine"]) > 0
     # count_multi reads floors from bands k = 1..3
-    assert max(math.floor(L / (2.0 * math.acosh(s / 2.0))) for L, s, _, _ in calls["_floors"]) == 3
+    assert max(math.floor(L / (2.0 * math.acosh(s / 2.0))) for L, s in calls["_floors"]) == 3
 
 
 def test_array_path_matches_oracle_where_bands_past_3_apply():
@@ -289,7 +289,7 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
     # ell >= L/1024 never reach the kept pair, the pair tally or the array
     # helpers at L = 80, the boundary ell = 80/1024 included, while a thin
     # point does.  Each call runs phase 1 once, with the bands of the one
-    # number asked for, where the pair tally runs it twice
+    # number asked for, and a thin walk runs it once for both numbers
     calls = _spy(monkeypatch, "_phase1", *PAIR_PATH)
     rng = random.Random(80)
     points = [TorusPoint(80.0 / 1024, 0.0), TorusPoint(80.0 / 1024, 0.04)]
@@ -300,10 +300,13 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
         count_s(X, 1, 80.0)
         count_b(X, 80.0)
     bands = (_kernels._band(80.0, 1), _kernels._band(80.0, 2))
-    assert [args[5:] for args in calls.pop("_phase1")] == [_kernels._UNIT_BANDS, bands] * len(points)
+    phase1 = calls.pop("_phase1")
+    assert [args[5:] for args in phase1] == [_kernels._UNIT_BANDS, bands] * len(points)
     assert not any(calls.values())
+    phase1.clear()
     count_b(TorusPoint(1e-3, 0.0), 20.0)
     assert calls["_thin_walk"] and calls["_spine"] and calls["_climb"]
+    assert [args[5:] for args in phase1] == [(_kernels._band(20.0, 1), _kernels._band(20.0, 2))]
 
 
 def test_short_spines_stay_on_the_scalar_walk(monkeypatch):
@@ -320,19 +323,18 @@ def test_short_spines_stay_on_the_scalar_walk(monkeypatch):
     assert calls["_thin_walk"] and calls["_climb"]
 
 
-def test_short_spine_segments_skip_the_array_set_up(monkeypatch):
+def test_short_spine_segments_take_the_array_path(monkeypatch):
     # ell = 1e-2, L = 24: each base spine records a segment of fewer than
-    # _LANES traces with side children <= tmax; the traces take the scalar
-    # floor rule and the side children the scalar stack, and no band array
-    # is built.  At L = 25 the segments are long enough for the arrays
-    calls = _spy(monkeypatch, "_spine", "_close", "_floors", "_lockstep")
+    # _LANES traces with side children <= tmax.  It is tallied in arrays
+    # like a long one, from band arrays built once per spine, and its side
+    # children, too few for a lockstep step, go on to the scalar stack
+    calls = _spy(monkeypatch, "_spine", "_floors", "_lockstep")
     X = TorusPoint(1e-2, 0.37e-2)
     triple = _triple(X)
     _assert_counts_match(triple, [24.0] + _spine_tie_radii(triple, (1, 2, 5), (1, 2)))
-    assert calls["_spine"] and len(calls["_close"]) > len(calls["_spine"]) // 2
-    assert not calls["_floors"] and not calls["_lockstep"]
+    assert calls["_spine"] and len(calls["_floors"]) == len(calls["_spine"])
+    assert calls["_lockstep"] and all(len(args[2]) < _kernels._LANES for args in calls["_lockstep"])
     _assert_counts_match(triple, [25.0])
-    assert calls["_floors"] and calls["_lockstep"]
 
 
 def test_close_tallies_both_numbers_in_one_pass():
@@ -350,11 +352,12 @@ def test_close_tallies_both_numbers_in_one_pass():
         upto, multi, _ = _oracle(*triple, L)
         tmax = _kernels._trace_bound(L)
         bands = _kernels._band(L, 1), _kernels._band(L, 2)
-        unit, grow = _kernels._phase1(*triple, L, tmax, *_kernels._UNIT_BANDS)
-        total, _ = _kernels._phase1(*triple, L, tmax, *bands)
+        # phase 1 tallies its count beside the sum, under either bands
+        count, total, grow = _kernels._phase1(*triple, L, tmax, *bands)
         assert grow, (triple, L)
+        assert _kernels._phase1(*triple, L, tmax, *_kernels._UNIT_BANDS) == (count, count, grow)
         n, m = _kernels._close(list(grow), L, tmax, *_kernels._UNIT_BANDS)
-        assert n == m == upto - unit, (triple, L)
+        assert n == m == upto - count, (triple, L)
         assert _kernels._close(list(grow), L, tmax, *bands) == (n, multi - total), (triple, L)
 
 
