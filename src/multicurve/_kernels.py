@@ -106,6 +106,12 @@ BACKEND = "pure"
 # passes the closed-forms benchmark peaked at 58.5 MB against 50.6 MB for
 # the scalar walk; at this size it peaks at 51.5 MB, no slower.
 _PASS_TERMS = 1 << 15
+# count_ball's budget: the m-vectors a ball may hold, bounded before the
+# walk by prod(floor(L / w_i) + 1).  A walk that size takes about 6 s on
+# 2 shared vCPUs (S11 at L = 1e7, 10^7 rows, took 0.61 s); the largest ball
+# the README, verify or the benchmark counts has 16,001 rows (S11 and S04
+# at L = 16,000).
+_BALL_ROWS = 10**8
 
 
 def _check_radius(L):
@@ -264,11 +270,17 @@ def _count_rows(pieces, step, L, w, ls):
 
 def count_ball(ws, ls, masks, L):
     """Lattice points in the weighted ball, zero excluded: 0 for L <= 0,
-    ValueError for a NaN or infinite L, ArithmeticError where a twist bound
-    is too large for int64."""
+    ValueError for a NaN or infinite L, ArithmeticError where the ball's
+    m-vectors may number more than _BALL_ROWS or a twist bound is too large
+    for int64."""
     _check_radius(L)
     if L <= 0 or not ws:
         return 0
+    bound = math.prod(L // w + 1.0 for w in ws)
+    if bound > _BALL_ROWS:
+        raise ArithmeticError(
+            "a ball of radius %r may hold up to %.4g m-vectors, above the budget of %.4g"
+            % (L, bound, _BALL_ROWS))
     w = ws[-1]
     total = 0
     pieces, rows = [], 0

@@ -37,12 +37,14 @@ fresh interpreter imports the command line, and the single-point commands
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
-from .hypfun import TORUS_MAX_SYSTOLE
+from .hypfun import TORUS_MAX_SYSTOLE, chunked_tolist
 from .runpar import ordered_map
 from .wpcells import MCResult, _rng, mc_result
 
@@ -51,6 +53,8 @@ LENGTH_TIE_TOL = 1e-9
 # top of the b_hat ladder: the unit-ball estimate verify and `torus mc`'s
 # B and B2 functionals use, and the one the verify tolerances were tuned at
 BHAT_LMAX = 80.0
+# the one thread whose enumerate_short_slopes calls pause the collector
+_MAIN_THREAD = threading.main_thread().ident
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,10 @@ class FrickeTriple:
 class Slope(NamedTuple("Slope", [("p", int), ("q", int)])):
     """The slope p/q of a simple closed curve: q > 0 and gcd(p, q) = 1, or
     the reserved 1/0.  A named tuple, so that a spectrum of thousands of
-    slopes costs one tuple each; every construction, by position, keyword,
-    _make, _replace or unpickling, goes through the checks."""
+    slopes costs one tuple each.  Every public construction, by position,
+    keyword, _make, _replace or unpickling, goes through the checks;
+    enumerate_short_slopes alone builds its slopes with tuple.__new__,
+    since the walk lists only reduced pairs."""
 
     __slots__ = ()
 
@@ -146,12 +152,34 @@ def slope_length(X: TorusPoint, s: Slope) -> float:
 
 def enumerate_short_slopes(X: TorusPoint, L: float) -> list:
     """All slopes of length <= L with their lengths, sorted by length
-    (ties by denominator then numerator)."""
+    (ties by denominator then numerator).
+
+    Each listed slope is built without Slope's checks: slopes_upto lists
+    0/1, the reserved 1/0 and Stern-Brocot mediants of Farey neighbours,
+    whose ends satisfy |p_l q_r - p_r q_l| = 1, so every pair it lists
+    already has q > 0 and gcd(p, q) = 1.
+
+    The cyclic collector is held off while the walk runs and the list is
+    built.  The list's tuples hold only floats, ints and Slopes, which form
+    no cycle, so collecting them would free nothing and only rescan them.
+    Only the main thread pauses, and only a collector that is on; it turns
+    the collector back on as it leaves, error or not.  A call from another
+    thread, such as one of ordered_map's pool, leaves the collector alone:
+    threads that each saved and restored its state could interleave so as
+    to leave it off."""
     if L <= 0:
         return []
     tr = fn_to_triple(X)
-    acosh = math.acosh
-    return [(Slope(p, q), 2.0 * acosh(t / 2.0)) for t, q, p in _kernels.slopes_upto(tr.x, tr.y, tr.z, L)]
+    acosh, new = math.acosh, tuple.__new__
+    pause = gc.isenabled() and threading.get_ident() == _MAIN_THREAD
+    if pause:
+        gc.disable()
+    try:
+        return [(new(Slope, (p, q)), 2.0 * acosh(t / 2.0))
+                for t, q, p in _kernels.slopes_upto(tr.x, tr.y, tr.z, L)]
+    finally:
+        if pause:
+            gc.enable()
 
 
 def count_s(X: TorusPoint, k: int, L: float) -> int:
@@ -242,7 +270,7 @@ def mc_moduli(functional, samples: int, seed: int, threads: int = 1) -> MCResult
     if samples < 2:
         raise ValueError("need at least 2 samples")
     ells, taus = sample_bers_box(samples, seed)
-    points = [TorusPoint(ell, tau) for ell, tau in zip(ells.tolist(), taus.tolist())]
+    points = map(TorusPoint, chunked_tolist(ells), chunked_tolist(taus))
 
     def weighted(X: TorusPoint) -> float:
         w = _systole_weight(X)

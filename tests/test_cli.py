@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -475,6 +476,22 @@ def test_degenerate_geometry_exits_3(capsys):
     # a twist bound of 2e300 is no int64: the lattice count raises, not wraps
     assert cli.main(["measure", "ball", "--surface", "S11", "--weights", "1,1e-300", "--lengths", "2"]) == 3
     assert "too large to count in int64" in capsys.readouterr().err
+
+
+def test_ball_past_its_budget_exits_3_at_once(capsys):
+    # S11 at L = 3.5e9 walks 3.5e9 m-values, about 210 s; the budget of 1e8
+    # rows is checked before the walk
+    start = time.perf_counter()
+    code = cli.main(["measure", "ball", "--surface", "S11", "--lengths", "3.5e9"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("numeric failure: a ball of radius 3500000000.0 may hold up to "
+                            "3.5e+09 m-vectors, above the budget of 1e+08\n")
+    assert elapsed < 1.0, elapsed
+    # a ball inside the budget counts as before: L^2 + L points at weight 1
+    doc = run_json(capsys, ["measure", "ball", "--surface", "S11", "--lengths", "16000"])
+    assert doc["ladder"][0]["estimate"] == (16000**2 + 16000) / 16000**2
 
 
 def test_verify_single_check_passes(capsys):

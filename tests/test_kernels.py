@@ -7,6 +7,7 @@ import inspect
 import math
 import random
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -805,6 +806,23 @@ def test_count_ball_raises_where_int64_would_overflow():
     # below the guard the count is exact: 2^55 + 1 twists at m = 0, and
     # m = 1 alone, less the zero point
     assert _kernels.count_ball((1.0,), (2.0**-55,), (0,), 1.0) == 2**55 + 1
+
+
+def test_count_ball_raises_above_its_budget_before_walking():
+    # prod(floor(L / w_i) + 1) bounds the m-vectors; above 10^8 the ball is
+    # refused before its walk, which here would take seconds to minutes
+    assert _kernels._BALL_ROWS == 10**8
+    cases = [((1.0,), (1.0,), (0,), 1e8, "1e+08"),
+             ((0.75, 1.5, 2.5), (1.25, 0.5, 1.0), (7, 7), 700.0, "1.226e+08")]
+    for ws, ls, masks, L, rows in cases:
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError) as info:
+            _kernels.count_ball(ws, ls, masks, L)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "a ball of radius %r may hold up to %s m-vectors, above the budget of 1e+08" % (L, rows))
+    # balls inside the budget, such as S11 at L = 1e7 (10^7 + 1 rows) in
+    # test_pure_kernel_basics, count as before
 
 
 def test_count_ball_memory_does_not_grow_with_the_ball():

@@ -1,13 +1,19 @@
 """Once-punctured-torus backend: trace coordinates, length spectra, counts,
 and the fundamental-domain Monte Carlo."""
 
+import gc
 import math
 import pickle
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multicurve import _kernels
+from multicurve.runpar import ordered_map
 from multicurve.torus import (
     BERS_11,
     LENGTH_TIE_TOL,
@@ -127,6 +133,96 @@ def test_listed_slopes_pass_the_checks_at_thin_points(log_ell, twist, L):
     ell = 10.0**log_ell
     for slope, _ in enumerate_short_slopes(TorusPoint(ell, twist * ell), L):
         _assert_checked(slope)
+
+
+def _checked_spectrum(X, L):
+    # the construction enumerate_short_slopes made before it built its
+    # slopes unchecked: one checked Slope per listed slope
+    tr = fn_to_triple(X)
+    return [(Slope(p, q), 2.0 * math.acosh(t / 2.0))
+            for t, q, p in _kernels.slopes_upto(tr.x, tr.y, tr.z, L)]
+
+
+def _assert_spectrum_is_the_checked_one(X, L):
+    got = enumerate_short_slopes(X, L)
+    want = _checked_spectrum(X, L)
+    assert repr(got) == repr(want), (X, L)
+    assert [tuple(map(type, item)) for item in got] == [(Slope, float)] * len(want), (X, L)
+    assert all(type(s.p) is int and type(s.q) is int for s, _ in got), (X, L)
+
+
+def test_spectrum_is_the_checked_construction_in_the_bers_box():
+    rng = random.Random(SEED + 21)
+    for _ in range(30):
+        ell = rng.uniform(1e-2, BERS_11)
+        X = TorusPoint(ell, ell * rng.uniform(-1.0, 2.0))
+        _assert_spectrum_is_the_checked_one(X, rng.uniform(1.0, 14.0))
+    _assert_spectrum_is_the_checked_one(SYM, 9.0)
+    _assert_spectrum_is_the_checked_one(TorusPoint(1.3, 0.475), BERS_11 + LENGTH_TIE_TOL)
+
+
+def test_spectrum_is_the_checked_construction_at_thin_points():
+    rng = random.Random(SEED + 22)
+    for _ in range(12):
+        ell = 10.0 ** rng.uniform(-3.0, -1.0)
+        X = TorusPoint(ell, ell * rng.uniform(-2.0, 2.0))
+        _assert_spectrum_is_the_checked_one(X, rng.uniform(5.0, 30.0))
+    # the point-queries benchmark's deepest kind of spectrum
+    _assert_spectrum_is_the_checked_one(TorusPoint(1e-3, 3.7e-4), 30.0)
+
+
+def test_spectrum_restores_the_collector():
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        enumerate_short_slopes(TorusPoint(1.3, 0.475), 8.0)
+        assert gc.isenabled()
+        gc.disable()
+        enumerate_short_slopes(TorusPoint(1.3, 0.475), 8.0)
+        assert not gc.isenabled()
+        # the kernel raises inside the pause: an infinite radius
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ArithmeticError):
+                enumerate_short_slopes(TorusPoint(1.0, 0.3), math.inf)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_spectrum_pauses_the_collector_from_the_main_thread_only(monkeypatch):
+    paused = []
+    monkeypatch.setattr(gc, "disable", lambda: paused.append(threading.get_ident()))
+    monkeypatch.setattr(gc, "isenabled", lambda: True)
+    monkeypatch.setattr(gc, "enable", lambda: None)
+    X = TorusPoint(1.3, 0.475)
+    worker = threading.Thread(target=enumerate_short_slopes, args=(X, 8.0))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and paused == []
+    enumerate_short_slopes(X, 8.0)
+    assert paused == [threading.get_ident()]
+
+
+def test_spectrum_restores_the_collector_under_a_thread_pool():
+    # a pause saved and restored by every call, from any thread, left the
+    # collector off after about a third of these rounds: one call reads
+    # "off" inside another's pause, the other turns it back on, and the
+    # first then turns it off for good.  More threads than cores, short
+    # spectra and a short switch interval make calls interleave.
+    points = [TorusPoint(1.0 + 0.01 * (k % 50), 0.003 * k) for k in range(4000)]
+    serial = [enumerate_short_slopes(X, 2.0) for X in points]
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    try:
+        gc.enable()
+        sys.setswitchinterval(1e-5)
+        for _ in range(30):
+            got = ordered_map(lambda X: enumerate_short_slopes(X, 2.0), points, threads=16)
+            assert gc.isenabled()
+            assert got == serial
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
 
 
 def test_fricke_triple_validation():
@@ -429,3 +525,18 @@ def test_mc_moduli_functionals_see_python_floats():
     ell = float(message.split("ell=")[1].split()[0])
     tau = float(message.split("tau=")[1])
     assert 0 < ell <= BERS_11 and 0 <= tau < ell
+
+
+def test_mc_moduli_streams_its_points():
+    # the points reach the serial map as they are drawn; listing all 40,000
+    # TorusPoints first peaked at 7.7 MB, streamed the peak is about 1.9 MB
+    mc_moduli(lambda X: 1.0, 100, SEED)  # numpy and the kernels are loaded
+    tracemalloc.start()
+    try:
+        res = mc_moduli(lambda X: 1.0, 40000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+    assert res.estimate.hex() == "0x1.a6abaec80c85bp+0"
+    assert res.stderr.hex() == "0x1.79f96f35515abp-9"
