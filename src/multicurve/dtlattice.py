@@ -40,6 +40,11 @@ from .topology import PantsDecomposition
 
 @dataclass(frozen=True)
 class DTPoint:
+    """A point (m, t) of Dehn-Thurston coordinates: tuples of ints of equal
+    length, every m_i >= 0.  The constructor converts and checks them;
+    enumerate_ball alone builds its points without the checks, since the
+    kernels' walk yields only such tuples."""
+
     m: tuple  # nonnegative integers
     t: tuple  # integers
 
@@ -120,10 +125,15 @@ def enumerate_ball(
     collars cost nothing.  A radius L <= 0 gives no points; a NaN or
     infinite one raises ValueError.
     """
+    new = object.__new__
     for m, budget in _kernels.ball_m_vectors(wts.width, parity_masks(dec), float(L)):
         for t in _kernels.ball_t_vectors(wts.length, m, budget):
             if any(m) or any(t):
-                yield DTPoint(m, t)
+                point = new(DTPoint)
+                fields = point.__dict__
+                fields["m"] = m
+                fields["t"] = t
+                yield point
 
 
 def count_ball(dec: PantsDecomposition, wts: CombWeights, L: float) -> int:

@@ -56,6 +56,27 @@ def test_point_validation():
         DTPoint((-1,), (0,))
 
 
+@pytest.mark.parametrize("name, ws, ls, L", [
+    ("S11", (1.0,), (1.0,), 61.3),
+    ("S04", (1.0,), (1.0,), 60.7),
+    ("S12", (0.75, 1.5), (1.25, 0.5), 10.3),
+    ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 7.2),
+    ("S20", (0.3, 0.7, 2.0), (1.5, 1.3, 2.0), 7.0),
+])
+def test_enumerated_points_are_the_checked_construction(name, ws, ls, L):
+    # enumerate_ball builds its points without the constructor's checks;
+    # each must equal DTPoint(m, t), field types included
+    _, dec = builtin_surface(name)
+    pts = list(enumerate_ball(dec, CombWeights(ws, ls), L))
+    assert len(pts) > 900
+    for p in pts:
+        assert type(p) is DTPoint and type(p.m) is tuple and type(p.t) is tuple
+        assert {type(v) for v in p.m + p.t} == {int}
+        checked = DTPoint(p.m, p.t)
+        assert repr(p) == repr(checked) and p == checked and hash(p) == hash(checked)
+        assert vars(p) == vars(checked)
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         CombWeights((1.0,), (1.0, 2.0))

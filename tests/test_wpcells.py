@@ -1,6 +1,7 @@
 """Chart cells, exact cell integrals, and the Monte Carlo integrators."""
 
 import math
+import platform
 import tracemalloc
 import warnings
 
@@ -346,7 +347,9 @@ def test_f_power_mc_is_the_per_scalar_summary(monkeypatch, power, floor):
 def test_mc_result_reads_arrays_and_lists_alike():
     rng = np.random.default_rng(SEED)
     chunk = hypfun._CHUNK
-    for n in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 100_000):
+    short, block = wpcells._SHORT, wpcells._BLOCK
+    for n in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 100_000, short - 1, short,
+              short + 1, block - 1, block, block + 1, 3 * block + 1):
         vals = rng.pareto(1.5, n)  # heavy tail: squares round in many ways
         ref = result_bits(ref_mc_result(vals, 0.7, SEED))
         assert result_bits(mc_result(vals, 0.7, SEED)) == ref
@@ -389,17 +392,21 @@ def test_mc_result_squares_as_python_does():
 
 def test_mc_result_raises_where_a_square_overflows(capfd):
     # a square past the float range raises Python's OverflowError, and an
-    # infinite or NaN deviation passes silently, as in Python
-    values = [1e200, -1e200, 0.0]
-    with pytest.raises(OverflowError) as ref:
-        ref_mc_result(values, 1.0, 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for vals in (values, np.array(values)):
-            with pytest.raises(OverflowError) as err:
-                mc_result(vals, 1.0, 1)
-            assert err.value.args == ref.value.args
-    assert caught == [] and capfd.readouterr().err == ""
+    # infinite or NaN deviation passes silently, as in Python; on the block
+    # route too, where fsum's own OverflowError comes first if the squares
+    # before that one already overflow their sum
+    n = wpcells._SHORT + 5
+    for values in ([1e200, -1e200, 0.0], [1e200, -1e200] + [0.0] * n,
+                   [1e154, 1e154, -1e154, -1e154, 1e200, -1e200] + [0.0] * n):
+        with pytest.raises(OverflowError) as ref:
+            ref_mc_result(values, 1.0, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for vals in (values, np.array(values)):
+                with pytest.raises(OverflowError) as err:
+                    mc_result(vals, 1.0, 1)
+                assert err.value.args == ref.value.args
+        assert caught == [] and capfd.readouterr().err == ""
     # an infinite value is not an overflow: it reads inf and NaN as before
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -458,3 +465,149 @@ def test_from_draws_points_equal_constructed_points():
     assert {hash(p) for p in points} == {hash(p) for p in ref_points(ells, taus)}
     with pytest.raises(ValueError, match="one twist per cuff"):
         FNPoint.from_draws(ells, taus[:, :1])
+
+
+# --- mc_result's block route ---------------------------------------------
+#
+# From wpcells._SHORT values on, mc_result sums exactly in float64 blocks and
+# takes RN(d·d) for a square where that is proven equal to **; every result
+# must still be ref_mc_result's, raised errors included.
+
+
+def block_sum(values):
+    """wpcells._exact_sum over the blocks mc_result reads; None defers to fsum."""
+    block = wpcells._BLOCK
+    blocks = (values[lo : lo + block] for lo in range(0, len(values), block))
+    return wpcells._exact_sum(blocks, len(values))
+
+
+def outcome(summary, values):
+    """The bits of a summary of values, or the type and args of its error."""
+    try:
+        return result_bits(summary(values, 1.0, SEED))
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, err.args
+
+
+def plain_sums():
+    """Seeded arrays whose sums the blocks take exactly."""
+    rng = np.random.default_rng(SEED)
+    block = wpcells._BLOCK
+    n = 2 * block + 7
+    signs = rng.choice([-1.0, 1.0], n)
+    yield "pareto 0.7", signs * rng.pareto(0.7, n)
+    yield "pareto 1.5", rng.pareto(1.5, n)
+    spread = signs * 10.0 ** rng.uniform(-310, 300, n)
+    assert (abs(spread) < 2.0**-1022).sum() > 10  # subnormals among them
+    yield "1e-310 to 1e300", spread
+    yield "subnormals", signs * rng.integers(1, 2**20, n) * 2.0**-1074
+    # 2^53 in the first block cancels in the third, ones in between: each
+    # block's own rounded sum would lose them
+    ones = np.ones(3 * block)
+    ones[block - 1], ones[2 * block] = 2.0**53, -(2.0**53)
+    yield "2^53 cancels across blocks", ones
+    # exact sums 2^53 + 1 (a tie: to even), and 2^53 + 1 ± 2^-60 past it
+    for tiny in (0.0, 2.0**-60, -(2.0**-60)):
+        tie = np.zeros(3 * block)
+        tie[0], tie[block], tie[2 * block] = 2.0**53, 1.0, tiny
+        yield "2^53 + 1 + %r" % tiny, tie
+
+
+@pytest.mark.parametrize("case, values", list(plain_sums()), ids=lambda v: v if isinstance(v, str) else "")
+def test_block_sum_is_fsum(case, values):
+    total = block_sum(values)
+    assert total is not None, case
+    assert total.hex() == math.fsum(values.tolist()).hex(), case
+    assert outcome(mc_result, values) == outcome(ref_mc_result, values.tolist())
+
+
+def deferred_sums():
+    """Arrays whose sums the blocks leave to math.fsum."""
+    n = wpcells._BLOCK + 3
+    yield "all -0.0", np.full(n, -0.0)
+    for special in ([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf]):
+        values = np.ones(n)
+        values[7 : 7 + len(special)] = special
+        yield "with %r" % special, values
+    yield "1e308 each", np.full(n, 1e308)  # fsum: intermediate overflow
+    alternating = np.full(n, 1e308)
+    alternating[1::2] = -1e308
+    yield "±1e308", alternating
+    rng = np.random.default_rng(SEED)
+    yield "1e-310 to 1e308", rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-310, 308, n)
+
+
+@pytest.mark.parametrize("case, values", list(deferred_sums()), ids=lambda v: v if isinstance(v, str) else "")
+def test_block_sum_defers_to_fsum(case, values):
+    # an exact zero, a value that is not finite, or a sum that may leave
+    # the float range is fsum's to give or raise
+    assert block_sum(values) is None, case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(mc_result, values) == outcome(ref_mc_result, values.tolist())
+        assert outcome(mc_result, values.tolist()) == outcome(ref_mc_result, values.tolist())
+
+
+# The first four standard-normal deviations of default_rng(20260814) whose
+# glibc square d ** 2 is not numpy's RN(d·d): the exact square lies about
+# half a float spacing from RN(d·d), where the two may round apart.
+POW_IS_NOT_RN = ("0x1.e07f0d176e24fp-2", "-0x1.c6c4f31692515p-5",
+                 "-0x1.9d9a7e0a2093bp+0", "-0x1.f1e153508b76cp-1")
+
+
+def padded(deviations, n):
+    """Each deviation and its negative, then zeros to length n: the mean is
+    exactly 0, so the deviations are the values themselves."""
+    values = np.zeros(n)
+    for k, d in enumerate(deviations):
+        values[2 * k + 1], values[n - 2 * k - 1] = d, -d
+    return values
+
+
+def block_squares(values):
+    return [v.hex() for v in np.concatenate(list(wpcells._squares(values, 0.0)))]
+
+
+def test_squares_are_pow_where_rn_is_not():
+    deviations = [float.fromhex(h) for h in POW_IS_NOT_RN]
+    if platform.libc_ver()[0] == "glibc":
+        assert all(d**2 != d * d for d in deviations)
+    values = padded(deviations, 2 * wpcells._BLOCK + 5)
+    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+    assert result_bits(mc_result(values, 1.0, SEED)) == result_bits(ref_mc_result(values.tolist(), 1.0, SEED))
+    # and over seeded deviations of every size in [2^-400, 2^500]
+    rng = np.random.default_rng(SEED)
+    values = rng.standard_normal(3 * wpcells._BLOCK) * 2.0 ** rng.integers(-399, 499, 3 * wpcells._BLOCK)
+    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+
+
+# Deviations near 2^-511, below the exact product's range, where glibc's
+# d ** 2 is not RN(d·d) and Dekker's error term, its tail² underflowing,
+# would put the exact square within 0.45 of the spacing of RN(d·d).
+UNDERFLOWING_ERRORS = ("-0x1.a01fd923085f0p-511", "-0x1.a11d11dcfea89p-510",
+                       "-0x1.e9b4936431744p-512", "0x1.206efdd07e66dp-511")
+
+
+def test_squares_below_the_exact_range_are_pow():
+    deviations = [float.fromhex(h) for h in UNDERFLOWING_ERRORS]
+    if platform.libc_ver()[0] == "glibc":
+        assert all(d**2 != d * d for d in deviations)
+    values = padded(deviations, wpcells._BLOCK + 9)
+    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("start, toward", [
+    (2.0**-400, math.inf), (2.0**500, 0.0),  # the range's own edges, inward
+    (math.nextafter(2.0**-400, 0.0), 0.0), (math.nextafter(2.0**500, math.inf), math.inf),
+    (5e-324, math.inf), (1.3e154, math.inf),  # subnormal; squares near 2^1023
+])
+def test_squares_at_the_edges_of_the_exact_product(start, toward):
+    deviations = [start]
+    for _ in range(30):
+        deviations.append(math.nextafter(deviations[-1], toward))
+    values = padded(deviations, wpcells._BLOCK + 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(mc_result, values) == outcome(ref_mc_result, values.tolist())
+        if start <= 2.0**500:
+            assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
