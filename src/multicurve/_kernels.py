@@ -41,16 +41,25 @@ phase 2 tests a child against the bound alone and closes each node whose
 subtree is two spines (a fixed end, and s' = t*s - s_prev) in two tight
 loops.  Float rounding is monotone, so a spine from ends >= 2 never
 decreases and the nodes it skips are exactly those the rule would prune;
-_close gives the argument.  count_multi evaluates floor(L / length)
-only near its thresholds: a trace safely inside the band where that floor
-is 1 adds 1, one inside the band where it is 2 adds 2, both without an
-acosh, and every other trace takes the exact formula.
+_close gives the argument.
+
+count_multi counts the multiples k*gamma with k*length(gamma) <= L by the
+test count_upto(L/k) makes: a slope of trace t has max{k >= 1 : t <= T_k}
+of them, with T_k = 2*cosh((L/k)/2) computed as count_upto(L/k) computes
+its bound.  So count_multi(x, y, z, L) is the sum over k of
+count_upto(x, y, z, L/k) bit for bit, and count_b(X, L) is the sum of
+count_s(X, k, L), as the definition of B(X) has it.  The walks add 1 at
+a trace above T_2 and 2 at one above T_3, inline; every other trace reads
+k from a table of thresholds kept per radius by one bisection, and past
+the table from _mult's search.  count_upto runs the same code with both
+cuts at 2.0, so a trace at or below 2, which has no length, reaches _mult
+and raises.
 
 A thin walk is one where x or y is shorter than L/1024 and the spines of
 that short root hold at least 64 traces <= tmax; by the collar lemma at
 most one root is that short.  It runs those spines and their side subtrees
 in arrays, and tallies both numbers at once: the slope count and the sum
-of floor(L / length).  The last pair is kept, so count_upto and count_multi
+of multiples.  The last pair is kept, so count_upto and count_multi
 called at one (x, y, z, L), as `torus count` calls them, walk once in
 either order.  Phase 1 tallies both numbers in its one pass.  A spine
 s' = t*s - s_prev with fixed end t is iterated in a tight loop and
@@ -62,15 +71,14 @@ count the lanes, emit the right children that are <= tmax as the next
 generation, step, and drop the lanes above tmax.  A lane set under 64
 goes back to the scalar stack without numpy's set-up.  Past the last
 side child below tmax the spine is counted without being recorded,
-by a loop that only steps and compares inside the band where the floor is
-1.  Every trace comes from the same IEEE operation on the same operands as
-in the scalar loop, and a child is dropped exactly when the scalar loop
-drops it, so the nodes counted are the scalar walk's.  count_multi reads
-each floor from the intervals of _band for k = 1, 2, ... and takes the
-exact formula at the traces outside them, as the scalar loop does: both
-paths share one floor rule, and no vector acosh enters.  Every other walk
-runs the scalar loop alone, with the bands of the number asked for, and
-keeps nothing.
+by a loop that only steps and compares above T_2.  Every trace comes from
+the same IEEE operation on the same operands as in the scalar loop, and a
+child is dropped exactly when the scalar loop drops it, so the nodes
+counted are the scalar walk's.  count_multi reads each trace's k from the
+thresholds T_K..T_1 in one ascending array by searchsorted, and from
+_mult at a trace at or below T_K: both paths share the one rule, and no
+vector acosh enters.  Every other walk runs the scalar loop alone, with
+the thresholds of the number asked for, and keeps nothing.
 
 numpy is imported inside the functions that build arrays, not with the
 module: importing it takes about 0.11 s, more than the 0.09 s in which a
@@ -82,6 +90,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 
 BACKEND = "pure"
 
@@ -367,37 +376,63 @@ def _trace_bound(L):
     return tmax
 
 
-# Relative width, in length, of the margin kept between each band of
-# count_multi and the traces of the lengths that bound it.  Nodes inside a
-# margin take the exact floor(L / length) like every node outside the bands.
-_BAND_MARGIN = 1e-6
-
-_NO_BAND = (math.inf, -math.inf)
-
-# (band1, band2) of count_upto: every trace inside band1, so each node adds 1
-_UNIT_BANDS = ((-math.inf, math.inf), _NO_BAND)
+def _threshold(L, k):
+    """T_k = 2*cosh((L/k)/2), the trace bound of count_upto(L/k): a slope
+    of trace t has a k-th multiple of length <= L exactly where t <= T_k,
+    the test count_s(X, k, L) makes."""
+    return 2.0 * math.cosh(L / k / 2.0)
 
 
-def _band(L, k):
-    """Open trace interval (lo, hi) on which floor(L / (2*acosh(t/2))) is k.
+# Thresholds kept per radius: _mult reads a multiplicity below _TABLE from
+# them by one bisection.  Building 32 takes about 4 us, while a Bers-box
+# walk at L = 80 meets few traces with more than 32 multiples.
+_TABLE = 32
 
-    lo and hi are the traces of lengths L/(k+1)*(1 + m) and L/k*(1 - m).
-    Each is accepted only if the formula evaluated at it leaves a relative
-    slack of 1e-12 to the integers k+1 and k.  The exact quotient
-    L/length(t) is decreasing in t and the evaluated one is within a few
-    ulp of it, so every float t strictly between lo and hi evaluates to a
-    quotient in [k, k+1), whose floor is k.  When the check fails (L tiny,
-    zero or negative, where lo and hi round onto 2 or past each other) the
-    band is empty and every node takes the exact formula."""
-    lo = 2.0 * math.cosh(L / (2.0 * (k + 1)) * (1.0 + _BAND_MARGIN))
-    hi = 2.0 * math.cosh(L / (2.0 * k) * (1.0 - _BAND_MARGIN))
-    if (
-        2.0 < lo < hi
-        and L / (2.0 * math.acosh(lo / 2.0)) <= (k + 1) * (1.0 - 1e-12)
-        and L / (2.0 * math.acosh(hi / 2.0)) >= k * (1.0 + 1e-12)
-    ):
-        return lo, hi
-    return _NO_BAND
+
+@functools.lru_cache(maxsize=16)
+def _thresholds(L):
+    """(T_K, ..., T_2, T_1) with K = _TABLE, ascending: count_multi's cuts
+    T_2 and T_3 and the table _mult reads."""
+    return tuple(_threshold(L, k) for k in range(_TABLE, 0, -1))
+
+
+# count_upto's thresholds: every cut at 2.0, so a trace above 2 adds 1 and
+# one at or below 2, fallen, reaches _mult and raises there.  Its T_1 is
+# never read; every walk bounds its traces by tmax.
+_UPTO = (2.0, 2.0, 2.0)
+
+
+def _mult(t, L, th):
+    """max{k >= 1 : t <= T_k}, the number of multiples of length <= L of a
+    slope of trace t <= T_1, read from the ascending thresholds th.
+
+    T_k does not increase with k, so below len(th) one bisection reads k.
+    Past the table the float quotient L / length(t) is the start and a
+    galloping search over T_k corrects it, as near t = 2 the quotient loses
+    its accuracy: at ell = 3e-8 it is off by about 9e7.  A trace at or below
+    2 makes the quotient raise ZeroDivisionError or ValueError."""
+    top = len(th)
+    k = top - bisect_left(th, t)
+    if k < top:
+        return k
+    k = max(top, math.floor(L / (2.0 * math.acosh(t / 2.0))))
+    # gallop to lo < hi with t <= T_lo and t > T_hi; t <= T_top holds
+    step = 1
+    if t <= _threshold(L, k):
+        lo, hi = k, k + 1
+        while t <= _threshold(L, hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    else:
+        lo, hi = k - 1, k
+        while not t <= _threshold(L, lo):
+            lo, hi, step = max(top, lo - 2 * step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if t <= _threshold(L, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # Thin walks: where a root trace x or y is below 2*cosh(L / (2*_SHORT)),
@@ -425,26 +460,17 @@ _SEGMENT = 4096
 _LANES = 64
 
 
-def _phase1(x, y, z, L, tmax, band1, band2):
+def _phase1(x, y, z, L, tmax, th):
     """(count, n, grow) for phase 1 of a walk: count is the number of the
     roots x, y and the nodes phase 1 visits with trace <= tmax, n sums
-    their floor(L / length), a trace strictly inside band1 adding 1 and one
-    strictly inside band2 adding 2, and grow lists the phase-2 edges
-    (t_left, t_right, t_mediant) it stops at.  Under _UNIT_BANDS n is
-    count."""
-    acosh, floor = math.acosh, math.floor
-    lo, hi = band1
-    lo2, hi2 = band2
+    their multiples by the thresholds th, and grow lists the phase-2 edges
+    (t_left, t_right, t_mediant) it stops at.  Under _UPTO n is count."""
+    t2, t3 = th[-2], th[-3]
     count = n = 0
     for t in (x, y):
         if t <= tmax:
             count += 1
-            if lo < t < hi:
-                n += 1
-            elif lo2 < t < hi2:
-                n += 2
-            else:
-                n += floor(L / (2.0 * acosh(t / 2.0)))
+            n += 1 if t > t2 else 2 if t > t3 else _mult(t, L, th)
     grow = []
     for zroot in (z, x * y - z):
         if zroot > tmax and zroot > x and zroot > y:
@@ -460,12 +486,7 @@ def _phase1(x, y, z, L, tmax, band1, band2):
                     break
                 if tm <= tmax:
                     count += 1
-                    if lo < tm < hi:
-                        n += 1
-                    elif lo2 < tm < hi2:
-                        n += 2
-                    else:
-                        n += floor(L / (2.0 * acosh(tm / 2.0)))
+                    n += 1 if tm > t2 else 2 if tm > t3 else _mult(tm, L, th)
                 c = tm * tr - tl
                 if c <= tmax or not (c > tm and c > tr):
                     push((tm, tr, c))
@@ -480,10 +501,9 @@ def _phase1(x, y, z, L, tmax, band1, band2):
 @functools.lru_cache(maxsize=1)
 def _thin_walk(x, y, z, L, tmax):
     """(count_upto, count_multi) for a thin walk (see _count): the number
-    of slopes with trace <= tmax and the sum of their floor(L / length).
-    The last pair is kept, so the two kernels called at one (x, y, z, L)
-    walk once, in either order; an error is raised again on every call,
-    never kept.
+    of slopes with trace <= tmax and the sum of their multiples.  The last
+    pair is kept, so the two kernels called at one (x, y, z, L) walk once,
+    in either order; an error is raised again on every call, never kept.
 
     The phase-2 edges whose fixed end is the short root t, the shorter of
     x and y (left end x, else right end y), are walked by _spine in arrays.
@@ -493,67 +513,69 @@ def _thin_walk(x, y, z, L, tmax):
     operation on the same operands as the scalar loop (a*b and b*a are the
     same float) and drops a child exactly when the scalar loop does, when
     it is above tmax; so it counts the same set of nodes, only in another
-    order, and each with the floor the scalar loop gives it.  Which edges
-    take the array path decides only the speed.  What the scalar loop
-    walks, the subtrees below the other phase-2 edges and small lane sets,
-    _close walks once for both numbers, as phase 1 walks its few nodes."""
-    band1, band2 = _band(L, 1), _band(L, 2)
-    count, total, grow = _phase1(x, y, z, L, tmax, band1, band2)
+    order, and each with the multiples the scalar loop gives it.  Which
+    edges take the array path decides only the speed.  What the scalar
+    loop walks, the subtrees below the other phase-2 edges and small lane
+    sets, _close walks once for both numbers, as phase 1 walks its few
+    nodes."""
+    th = _thresholds(L)
+    count, total, grow = _phase1(x, y, z, L, tmax, th)
     t, end = (x, 0) if x <= y else (y, 1)
-    n, m = _close([edge for edge in grow if edge[end] != t], L, tmax, band1, band2)
+    n, m = _close([edge for edge in grow if edge[end] != t], L, tmax, th)
     count, total = count + n, total + m
     for edge in grow:
         if edge[end] == t:
-            n, m = _spine(t, edge[1 - end], edge[2], L, tmax, band1, band2)
+            n, m = _spine(t, edge[1 - end], edge[2], L, tmax, th)
             count, total = count + n, total + m
     return count, total
 
 
-def _close(grow, L, tmax, band1, band2):
-    """(number, sum of floor(L / length)) over the nodes of the subtrees
-    below the phase-2 edges on the stack grow, a trace strictly inside
-    band1 adding 1 and one strictly inside band2 adding 2; grow ends empty.
-    With _UNIT_BANDS every node adds 1 and the two numbers are equal.
+def _close(grow, L, tmax, th):
+    """(number, sum of multiples) over the nodes of the subtrees below the
+    phase-2 edges on the stack grow, by the thresholds th; grow ends empty.
+    Under _UPTO every node adds 1 and the two numbers are equal.
 
     A node costs one add, as in a loop that tallies one number: the count
-    takes it, and the sum keeps only the floors' excess over 1, which is 0
-    inside band 1.  Replaying the count walks of one moduli-mc pass (seed
-    1501, 2 shared x86-64 vCPUs), this loop ran 1-2.5% slower than a loop
-    tallying the sum alone, and one with a second add per node for the
-    count 12-13% slower.
+    takes it, and the sum keeps only the multiples' excess over 1, which is
+    0 above T_2.  A trace in (T_K, T_3] reads its multiples from the table
+    by the bisection _mult makes, in line: on 150 Bers-box points at
+    L = 20 to 80 the call to _mult cost 5-7% of count_multi's time.
+    Replaying the count walks of one moduli-mc pass (seed 1501, 2 shared
+    x86-64 vCPUs), this loop ran 1-2.5% slower than a loop tallying the sum
+    alone, and one with a second add per node for the count 12-13% slower.
 
     Each popped node is counted, its right child stacked and its left child
     walked next, a child above tmax being dropped.  The loop also closes
     spine pairs.  Take a node (tl, tr, tm) with tm above
-    gate = max(lo1, sqrt(tmax)), both ends >= 2 and below tm, and both cross
-    grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and cr)
-    above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
+    gate = max(T_2, sqrt(tmax)), both ends >= 2 and below tm, and both
+    cross grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and
+    cr) above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
     down the left from (s_prev, s) = (tr, tm), and s' = s*tr - s_prev down
     the right from (tl, tm).  Float rounding is monotone, so from
     s_prev <= s and a fixed trace t >= 2 it follows that
     fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
     decrease, each cross child further down is at least the first one and
     is pruned as the walk would prune it, and each spine stops at its first
-    trace above tmax.  Spine traces are above lo1, so they take the band-1
-    test s >= hi1 alone.  The gate only spares the test at nodes that seldom
-    pass it; exactness rests on the other conditions."""
-    acosh, floor = math.acosh, math.floor
-    lo, hi = band1
-    lo2, hi2 = band2
+    trace above tmax.  Spine traces are at least tm, above T_2, so each
+    adds 1 and takes no test.  The gate's sqrt(tmax) only spares the test
+    at nodes that seldom pass it: the count rests on the other conditions,
+    and the multiples on the gate being at least T_2."""
+    t2, t3, least = th[-2], th[-3], th[0]
+    last = len(th) - 1
     count = n = 0
-    gate = max(lo, math.sqrt(tmax))
+    gate = max(t2, math.sqrt(tmax))
     pop, push = grow.pop, grow.append
     while grow:
         tl, tr, tm = pop()
         while True:
             count += 1
-            if tm > lo:
-                if tm >= hi:
-                    n += floor(L / (2.0 * acosh(tm / 2.0))) - 1
-            elif lo2 < tm < hi2:
-                n += 1
-            else:
-                n += floor(L / (2.0 * acosh(tm / 2.0))) - 1
+            if tm <= t2:
+                if tm > t3:
+                    n += 1
+                elif tm > least:
+                    n += last - bisect_left(th, tm)
+                else:
+                    n += _mult(tm, L, th) - 1
             cr = tm * tr - tl
             cl = tl * tm - tr
             if (
@@ -566,14 +588,10 @@ def _close(grow, L, tmax, band1, band2):
                 a, s = tm, cl
                 while s <= tmax:
                     count += 1
-                    if s >= hi:
-                        n += floor(L / (2.0 * acosh(s / 2.0))) - 1
                     a, s = s, tl * s - a
                 a, s = tm, cr
                 while s <= tmax:
                     count += 1
-                    if s >= hi:
-                        n += floor(L / (2.0 * acosh(s / 2.0))) - 1
                     a, s = s, s * tr - a
                 break
             if cr <= tmax:
@@ -585,61 +603,39 @@ def _close(grow, L, tmax, band1, band2):
     return count, count + n
 
 
-def _floors(L, s):
-    """(edges, values) from which _tally reads floor(L / length) for traces
-    from s up, with the bands _band(L, k) for k = floor(L / length(s)),
-    ..., 1.
-
-    edges is the sorted array [nextafter(lo_k, inf), hi_k, ...], so that
-    np.searchsorted(edges, t, "right") is odd exactly when lo_k < t < hi_k,
-    and values at that index is k; at an even index values holds 0 and t
-    takes the exact formula.  A band _band finds empty is left out, so its
-    traces take the exact formula."""
+def _floors(L, s, th):
+    """The thresholds T_K, ..., T_1 as an ascending array, with K the
+    multiples of s, the first trace of a spine.  Every trace t the array
+    path tallies from there on lies in [s, tmax]: the spine never decreases
+    and its side subtrees lie above it (see _close).  So t has from 1 to K
+    multiples, K less the number of thresholds below t, which
+    np.searchsorted(floors, t) reads."""
     import numpy as np
 
-    edges, values = [], [0]
-    for k in range(math.floor(L / (2.0 * math.acosh(s / 2.0))), 0, -1):
-        lo, hi = _band(L, k)
-        if lo < hi:
-            edges += [math.nextafter(lo, math.inf), hi]
-            values += [k, 0]
-    return np.array(edges), np.array(values)
+    return np.array([_threshold(L, k) for k in range(_mult(s, L, th), 0, -1)])
 
 
-def _tally(t, L, floors):
-    """(number, sum of floor(L / length)) over the traces t: a trace inside
-    a band takes the band's k, every other one the exact formula the scalar
-    walk evaluates."""
-    edges, values = floors
-    i = edges.searchsorted(t, "right")
-    n = int(values[i].sum())
-    acosh, floor = math.acosh, math.floor
-    for v in t[(i & 1) == 0].tolist():
-        n += floor(L / (2.0 * acosh(v / 2.0)))
-    return len(t), n
+def _tally(t, floors):
+    """(number, sum of multiples) over the traces t, read from floors."""
+    return len(t), len(floors) * len(t) - int(floors.searchsorted(t).sum())
 
 
-def _climb(t, a, s, L, tmax, band1):
-    """(number, sum of floor(L / length)) over the spine s' = t*s - a from
-    s to its last trace <= tmax, 1 inside band1, for a spine whose side
-    children are all above tmax.
+def _climb(t, a, s, L, tmax, th):
+    """(number, sum of multiples) over the spine s' = t*s - a from s to its
+    last trace <= tmax, for a spine whose side children are all above tmax.
 
     A spine node whose length is at most L/2 has a side child no longer
-    than L, so past the last side child below tmax the spine lies in
-    band 1 but for the traces near its ends.  The spine never decreases
-    (see _close): the traces below band 1 take the exact formula, the run
-    inside it is counted by a loop that only steps and compares, and the
-    traces above it take the exact formula again.  That loop makes four
-    steps to a pass and compares the fourth trace alone: if it is inside
-    the band, so are the three before it.  The argument only makes the
-    exact loops short; any trace outside band 1 takes the exact formula."""
-    acosh, floor = math.acosh, math.floor
+    than L, so past the last side child below tmax the spine lies above
+    T_2, where each trace has one multiple, but for the traces near its
+    start.  The spine never decreases (see _close): the traces up to T_2
+    take _mult, and the rest up to tmax are counted by a loop that only
+    steps and compares.  That loop makes four steps to a pass and compares
+    the fourth trace alone: if it is <= tmax, so are the three before it."""
     top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
-    lo, hi = band1
-    start, stop = min(math.nextafter(lo, math.inf), top), min(hi, top)
+    t2 = th[-2]
     count = n = 0
-    while s < start:
-        n += floor(L / (2.0 * acosh(s / 2.0)))
+    while s <= t2:
+        n += _mult(s, L, th)
         count += 1
         a, s = s, t * s - a
     inside = 0
@@ -647,24 +643,20 @@ def _climb(t, a, s, L, tmax, band1):
         s1 = t * s - a
         s2 = t * s1 - s
         s3 = t * s2 - s1
-        if not s3 < stop:
+        if not s3 < top:
             break
         a, s = s3, t * s3 - s2
         inside += 4
-    while s < stop:
-        inside += 1
-        a, s = s, t * s - a
     while s < top:
-        n += floor(L / (2.0 * acosh(s / 2.0)))
-        count += 1
+        inside += 1
         a, s = s, t * s - a
     return count + inside, n + inside
 
 
-def _spine(t, a, s, L, tmax, band1, band2):
-    """(number, sum of floor(L / length)) over the subtree below the
-    phase-2 edge (t, a, s) or (a, t, s), whose fixed end is the short trace
-    t, as _close would count it.
+def _spine(t, a, s, L, tmax, th):
+    """(number, sum of multiples) over the subtree below the phase-2 edge
+    (t, a, s) or (a, t, s), whose fixed end is the short trace t, as _close
+    would count it.
 
     The spine s' = t*s - s_prev is iterated in a tight loop and recorded in
     segments of at most _SEGMENT traces, each segment keeping its
@@ -676,7 +668,7 @@ def _spine(t, a, s, L, tmax, band1, band2):
     either spine hands its side children to _lockstep as (s_i, a_i, c).
     Side children above tmax are dropped, and the rest expanded before the
     next segment is recorded.  Every segment is tallied as one array, from
-    the band arrays _floors builds once per spine, at its first recorded
+    the thresholds _floors builds once per spine, at its first recorded
     trace.
 
     With t > 2 and a < s, as at every phase-2 edge, the spine and its side
@@ -696,7 +688,7 @@ def _spine(t, a, s, L, tmax, band1, band2):
         # s <= tmax is the next spine node and a its predecessor
         if s > cut:
             if s * a - t > tmax:
-                n, m = _climb(t, a, s, L, tmax, band1)
+                n, m = _climb(t, a, s, L, tmax, th)
                 return count + n, total + m
             cut = tmax
         seg = [a, s]
@@ -717,23 +709,23 @@ def _spine(t, a, s, L, tmax, band1, band2):
         import numpy as np
 
         if floors is None:
-            floors = _floors(L, seg[1])
+            floors = _floors(L, seg[1], th)
         # past L = 709 a product of two traces can overflow: it is inf and
         # dropped, as in the scalar loop, which does not warn
         with np.errstate(over="ignore"):
             trace = np.fromiter(seg, np.float64, len(seg))
             spine, prev = trace[1:], trace[:-1]
-            n, m = _tally(spine, L, floors)
+            n, m = _tally(spine, floors)
             side = spine * prev - t
             keep = side <= tmax
-            n2, m2 = _lockstep(spine[keep], prev[keep], side[keep], L, tmax, band1, band2, floors)
+            n2, m2 = _lockstep(spine[keep], prev[keep], side[keep], L, tmax, th, floors)
         count, total = count + n + n2, total + m + m2
         if not s <= tmax:
             return count, total
 
 
-def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
-    """(number, sum of floor(L / length)) over the subtrees below the edges
+def _lockstep(tl, tr, tm, L, tmax, th, floors):
+    """(number, sum of multiples) over the subtrees below the edges
     (tl[i], tr[i], tm[i]), all with tm <= tmax, as _close would count them.
 
     The lanes walk their left spines in lockstep: each step counts tm,
@@ -751,7 +743,7 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
         tl, tr, tm = pending.pop()
         kids = []
         while len(tm) >= _LANES:
-            n, m = _tally(tm, L, floors)
+            n, m = _tally(tm, floors)
             count, total = count + n, total + m
             c = tm * tr - tl
             keep = c <= tmax
@@ -764,7 +756,7 @@ def _lockstep(tl, tr, tm, L, tmax, band1, band2, floors):
             tl, tr, tm = (np.concatenate(col) for col in zip(*kids))
             for i in range(0, len(tm), _SEGMENT):
                 pending.append((tl[i:i + _SEGMENT], tr[i:i + _SEGMENT], tm[i:i + _SEGMENT]))
-    n, m = _close(small, L, tmax, band1, band2)
+    n, m = _close(small, L, tmax, th)
     return count + n, total + m
 
 
@@ -838,8 +830,9 @@ def _fallen(x, y, z, L):
 
 
 def _count(x, y, z, L, multi):
-    """Sum over slopes with trace <= tmax = 2*cosh(L/2) of floor(L / length)
-    when multi is true, else their number, from checked roots and bound.
+    """Sum over slopes with trace <= tmax = 2*cosh(L/2) of their multiples,
+    max{k : t <= T_k}, when multi is true, else their number, from checked
+    roots and bound.
 
     Phase 1 walks from the roots with the kernels' pruning rule until an
     edge's mediant exceeds both its ends.  That edge was visited, so all
@@ -847,9 +840,8 @@ def _count(x, y, z, L, multi):
     its subtree every visited node keeps both ends <= tmax, so a child c
     above tmax is above both its ends: the rule reduces to c <= tmax, and
     every node visited is counted.  Phase 2 runs in _close, the scalar
-    loop.  Both phases run with the bands of the number asked for, and
-    their sums are read: under count_upto's _UNIT_BANDS the sum is the
-    count.
+    loop.  Both phases run with the thresholds of the number asked for,
+    and their sums are read: under count_upto's _UPTO the sum is the count.
 
     A thin walk runs in _thin_walk instead, which tallies both numbers at
     once and keeps the last pair; it is looked up only once both checks
@@ -866,8 +858,10 @@ def _count(x, y, z, L, multi):
     the scalar loop, and never reach the kept pair.
 
     Off the cusp identity a trace inside the walk can fall to 2 or below
-    even when the roots pass the check; acosh then raises ValueError, which
-    is raised again as ArithmeticError.  One handler around the whole walk
+    even when the roots pass the check.  Such a trace is at or below every
+    cut, under _UPTO too, so _mult takes it, and its acosh raises
+    ValueError below 2 or its quotient ZeroDivisionError at 2; either is
+    raised again as ArithmeticError.  One handler around the whole walk
     costs no node anything."""
     _check_roots(x, y, z)
     tmax = _trace_bound(L)
@@ -880,10 +874,10 @@ def _count(x, y, z, L, multi):
             if m <= tmax and m * math.cosh(_LANES * math.acosh(t / 2.0)) <= tmax:
                 count, total = _thin_walk(x, y, z, L, tmax)
                 return total if multi else count
-        band1, band2 = (_band(L, 1), _band(L, 2)) if multi else _UNIT_BANDS
-        _, n, grow = _phase1(x, y, z, L, tmax, band1, band2)
-        return n + _close(grow, L, tmax, band1, band2)[1]
-    except ValueError as err:
+        th = _thresholds(L) if multi else _UPTO
+        _, n, grow = _phase1(x, y, z, L, tmax, th)
+        return n + _close(grow, L, tmax, th)[1]
+    except (ValueError, ZeroDivisionError) as err:
         raise _fallen(x, y, z, L) from err
 
 
@@ -895,8 +889,10 @@ def count_upto(x, y, z, L):
 
 
 def count_multi(x, y, z, L):
-    """Number of integer multiples of slopes with total length <= L,
-    i.e. sum over slopes of floor(L / length).  A thin walk (see _count)
+    """Number of integer multiples k*gamma of slopes gamma with
+    k*length(gamma) <= L, decided as count_upto(L/k) decides it: a slope
+    of trace t has max{k : t <= 2*cosh((L/k)/2)} of them, so this is the
+    sum over k of count_upto(x, y, z, L/k).  A thin walk (see _count)
     tallies count_upto with it and keeps the pair, so count_upto at the
     same arguments next does not walk again."""
     return _count(x, y, z, L, True)

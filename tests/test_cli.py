@@ -193,6 +193,13 @@ def test_torus_count(capsys):
     assert doc["systole"]["slope"] == "1/0"
 
 
+def test_torus_count_multi_counts_the_multiple_on_its_threshold(capsys):
+    # the base curve has length 0.5, so its 40th multiple has length 20:
+    # count_multi counts it, as count_s(X, 40, 20) counts the base curve
+    assert cli.main(["torus", "count", "--ell", "0.5", "--tau", "0", "--length", "20"]) == 0
+    assert '  "count_multi": 242,\n' in capsys.readouterr().out
+
+
 THIN_COUNT = """{
   "L": 30.0,
   "config": {

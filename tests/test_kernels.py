@@ -5,7 +5,9 @@ the traces the walks list."""
 import importlib
 import inspect
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -40,13 +42,25 @@ def _oracle_walk(x, y, z, tmax, visit):
             stack.append((pm, qm, tm, pr, qr, tr, tm * tr - tl))
 
 
+def _multiples(t, L):
+    # max{k : t <= 2cosh((L/k)/2)}, the k for which count_s(X, k, L) counts
+    # the slope: the float quotient L / length, stepped to the largest k
+    # that passes the test
+    k = max(1, math.floor(abs(L) / (2.0 * math.acosh(t / 2.0))))
+    while k > 1 and not t <= 2.0 * math.cosh(L / k / 2.0):
+        k -= 1
+    while t <= 2.0 * math.cosh(L / (k + 1) / 2.0):
+        k += 1
+    return k
+
+
 def _oracle(x, y, z, L):
     """(count_upto, count_multi, slopes_upto) by the reference walk, with
-    floor(L / (2*acosh(t/2))) evaluated at every slope and the slopes as
-    sorted (trace, q, p) triples."""
+    the multiples of every slope counted by the test count_s makes and the
+    slopes as sorted (trace, q, p) triples."""
     slopes = []
     _oracle_walk(x, y, z, 2.0 * math.cosh(L / 2.0), lambda p, q, t: slopes.append((t, q, p)))
-    multi = sum(math.floor(L / (2.0 * math.acosh(t / 2.0))) for t, _, _ in slopes)
+    multi = sum(_multiples(t, L) for t, _, _ in slopes)
     slopes.sort()
     return len(slopes), multi, slopes
 
@@ -65,18 +79,30 @@ def _triple(X):
     return tr.x, tr.y, tr.z
 
 
+def _exact_ties(t, k, L):
+    # the least and the greatest float within 64 ulps of L at which the
+    # k-th threshold 2cosh((L/k)/2) is the trace t itself
+    for _ in range(64):
+        L = math.nextafter(L, -math.inf)
+    hits = []
+    for _ in range(129):
+        if 2.0 * math.cosh(L / k / 2.0) == t:
+            hits.append(L)
+        L = math.nextafter(L, math.inf)
+    return sorted(set(hits[:1] + hits[-1:]))
+
+
+def _ties(t, k):
+    # L = k * length of a slope of trace t, the floats either side, and the
+    # radii where its k-th multiple lies on count_multi's threshold exactly
+    L = k * 2.0 * math.acosh(t / 2.0)
+    return [math.nextafter(L, 0.0), L, math.nextafter(L, math.inf)] + _exact_ties(t, k, L)
+
+
 def _tie_radii(X, cap):
-    # L = k * length for the three root slopes, and the floats either side:
-    # a slope there sits on the k-th threshold of count_multi
+    # the ties of the three root slopes
     tr = fn_to_triple(X)
-    out = []
-    for t in (tr.x, tr.y, tr.z):
-        length = 2.0 * math.acosh(t / 2.0)
-        for k in (1, 2, 3, 7):
-            L = k * length
-            if L <= cap:
-                out += [math.nextafter(L, 0.0), L, math.nextafter(L, math.inf)]
-    return out
+    return [L for t in (tr.x, tr.y, tr.z) for k in (1, 2, 3, 7) for L in _ties(t, k) if L <= cap]
 
 
 RADII = (0.01, 0.2, 1.0, 2.5, 6.0, 15.0, 40.0, 120.0)
@@ -105,12 +131,15 @@ def test_pure_walks_match_oracle_at_twisted_triples():
     # Far outside the Bers box the traces first fall along some paths below
     # the root, so a child above tmax can still have counted descendants.
     # The walks take any Fricke triple; swapping x and y puts the falling
-    # twist path on the other side of the tree.
+    # twist path on the other side of the tree.  The ties of the slopes
+    # shorter than 5, many of them on that path, put nodes the walk visits
+    # before any mediant exceeds both its ends on a threshold.
     radii = [0.25 * i for i in range(1, 49)]
     for X in (TorusPoint(0.5, 2.2), TorusPoint(0.5, -2.2), TorusPoint(0.05, 0.33)):
         x, y, z = _triple(X)
         for triple in ((x, y, z), (y, x, z), (y, x, x * y - z)):
-            _assert_pure_walks_match(triple, radii)
+            short = [t for t, _, _ in _oracle(*triple, 5.0)[2]]
+            _assert_pure_walks_match(triple, radii + [L for t in short for k in (2, 3) for L in _ties(t, k)])
 
 
 def test_pure_walks_match_oracle_where_a_spine_root_fails_the_left_cross_test():
@@ -210,21 +239,15 @@ def _assert_counts_match(triple, radii):
 
 
 def _spine_tie_radii(triple, slopes, ks):
-    # L = k * length of slopes 1/j on the base curve's spine, and the floats
-    # either side: there the slope sits on count_multi's k-th threshold
-    out = []
-    for j in slopes:
-        length = 2.0 * math.acosh(_kernels.trace_of_slope(*triple, 1, j) / 2.0)
-        for k in ks:
-            out += [math.nextafter(k * length, 0.0), k * length, math.nextafter(k * length, math.inf)]
-    return out
+    # the ties of the slopes 1/j on the base curve's spine
+    return [L for j in slopes for k in ks for L in _ties(_kernels.trace_of_slope(*triple, 1, j), k)]
 
 
 def test_array_path_matches_oracle_over_several_spine_segments(monkeypatch):
     # ell = 1e-3, L = 50: each base spine has 9798 traces with side
     # children below tmax, three segments' worth.  At the tie radii the
     # slopes 1/100 and 1/1000 (length 16.6 and 16.8) sit on the threshold
-    # of floor 3, and 1/20000 (length 35.2) on that of floor 1, in the part
+    # of 3 multiples, and 1/20000 (length 35.2) on that of 1, in the part
     # of the spine past its last side child
     calls = _spy(monkeypatch, "_spine", "_lockstep", "_floors")
     triple = _triple(TorusPoint(1e-3, 0.37e-3))
@@ -232,15 +255,15 @@ def test_array_path_matches_oracle_over_several_spine_segments(monkeypatch):
                          + _spine_tie_radii(triple, (20000,), (1,)))
     at_50 = [args for args in calls["_lockstep"] if args[3] == 50.0]
     assert len(at_50) >= 3 * sum(args[3] == 50.0 for args in calls["_spine"]) > 0
-    # count_multi reads floors from bands k = 1..3
-    assert max(math.floor(L / (2.0 * math.acosh(s / 2.0))) for L, s in calls["_floors"]) == 3
+    # count_multi reads k from the thresholds T_3..T_1
+    assert max(_multiples(s, L) for L, s, _ in calls["_floors"]) == 3
 
 
 def test_array_path_matches_oracle_where_bands_past_3_apply():
-    # ell = 1e-2, L = 60: the base spine starts at length 12.0, so floors
-    # up to 5 come from bands; the tie radii put the root slopes 1/0 and
-    # 1/1 on thresholds 1 to 3, and the spine slopes 1/10 and 1/300 on
-    # thresholds 3 and 4
+    # ell = 1e-2, L = 60: the base spine starts at length 12.0, so up to 5
+    # multiples come from the thresholds; the tie radii put the root slopes
+    # 1/0 and 1/1 on thresholds 1 to 3, and the spine slopes 1/10 and 1/300
+    # on thresholds 3 and 4
     X = TorusPoint(1e-2, 0.3e-2)
     triple = _triple(X)
     radii = [40.0, 60.0] + _tie_radii(X, 60.0) + _spine_tie_radii(triple, (10, 300), (3, 4))
@@ -289,8 +312,8 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
     # moduli-mc's hot loop stays on the scalar walk: Bers-box points with
     # ell >= L/1024 never reach the kept pair, the pair tally or the array
     # helpers at L = 80, the boundary ell = 80/1024 included, while a thin
-    # point does.  Each call runs phase 1 once, with the bands of the one
-    # number asked for, and a thin walk runs it once for both numbers
+    # point does.  Each call runs phase 1 once, with the thresholds of the
+    # one number asked for, and a thin walk runs it once for both numbers
     calls = _spy(monkeypatch, "_phase1", *PAIR_PATH)
     rng = random.Random(80)
     points = [TorusPoint(80.0 / 1024, 0.0), TorusPoint(80.0 / 1024, 0.04)]
@@ -300,14 +323,13 @@ def test_array_path_runs_at_thin_points_only(monkeypatch):
     for X in points:
         count_s(X, 1, 80.0)
         count_b(X, 80.0)
-    bands = (_kernels._band(80.0, 1), _kernels._band(80.0, 2))
     phase1 = calls.pop("_phase1")
-    assert [args[5:] for args in phase1] == [_kernels._UNIT_BANDS, bands] * len(points)
+    assert [args[5] for args in phase1] == [_kernels._UPTO, _kernels._thresholds(80.0)] * len(points)
     assert not any(calls.values())
     phase1.clear()
     count_b(TorusPoint(1e-3, 0.0), 20.0)
     assert calls["_thin_walk"] and calls["_spine"] and calls["_climb"]
-    assert [args[5:] for args in phase1] == [(_kernels._band(20.0, 1), _kernels._band(20.0, 2))]
+    assert [args[5] for args in phase1] == [_kernels._thresholds(20.0)]
 
 
 def test_short_spines_stay_on_the_scalar_walk(monkeypatch):
@@ -327,7 +349,7 @@ def test_short_spines_stay_on_the_scalar_walk(monkeypatch):
 def test_short_spine_segments_take_the_array_path(monkeypatch):
     # ell = 1e-2, L = 24: each base spine records a segment of fewer than
     # _LANES traces with side children <= tmax.  It is tallied in arrays
-    # like a long one, from band arrays built once per spine, and its side
+    # like a long one, from thresholds built once per spine, and its side
     # children, too few for a lockstep step, go on to the scalar stack
     calls = _spy(monkeypatch, "_spine", "_floors", "_lockstep")
     X = TorusPoint(1e-2, 0.37e-2)
@@ -340,8 +362,8 @@ def test_short_spine_segments_take_the_array_path(monkeypatch):
 
 def test_close_tallies_both_numbers_in_one_pass():
     # the scalar loop tallies the count beside the sum: thick walks read
-    # the sum under count_upto's unit bands or count_multi's bands, thin
-    # walks both numbers under count_multi's.  Each must be the oracle's,
+    # the sum under count_upto's cuts at 2 or count_multi's thresholds,
+    # thin walks both numbers under count_multi's.  Each must be the oracle's,
     # spine pairs included: at (2.0001, 9.99, 10.0) and tmax = 99.9 the
     # walk meets a node that fails the left cross test alone
     cases = [((2.0001, 9.99, 10.0), 2.0 * math.acosh(99.9 / 2.0))]
@@ -352,14 +374,14 @@ def test_close_tallies_both_numbers_in_one_pass():
     for triple, L in cases:
         upto, multi, _ = _oracle(*triple, L)
         tmax = _kernels._trace_bound(L)
-        bands = _kernels._band(L, 1), _kernels._band(L, 2)
-        # phase 1 tallies its count beside the sum, under either bands
-        count, total, grow = _kernels._phase1(*triple, L, tmax, *bands)
+        th = _kernels._thresholds(L)
+        # phase 1 tallies its count beside the sum, under either thresholds
+        count, total, grow = _kernels._phase1(*triple, L, tmax, th)
         assert grow, (triple, L)
-        assert _kernels._phase1(*triple, L, tmax, *_kernels._UNIT_BANDS) == (count, count, grow)
-        n, m = _kernels._close(list(grow), L, tmax, *_kernels._UNIT_BANDS)
+        assert _kernels._phase1(*triple, L, tmax, _kernels._UPTO) == (count, count, grow)
+        n, m = _kernels._close(list(grow), L, tmax, _kernels._UPTO)
         assert n == m == upto - count, (triple, L)
-        assert _kernels._close(list(grow), L, tmax, *bands) == (n, multi - total), (triple, L)
+        assert _kernels._close(list(grow), L, tmax, th) == (n, multi - total), (triple, L)
 
 
 # --- the kept pair of a thin walk -------------------------------------------
@@ -445,9 +467,13 @@ def test_thin_walk_memory_does_not_grow_with_the_radius():
     # million, and the scalar loop alone peaked at 12 MB at L = 60, its
     # stack holding a side child per spine node.  Spine segments and lane
     # arrays of at most 4096 floats hold the peak under 1 MB.  The counts
-    # are the scalar loop's.
+    # are the scalar loop's.  Each includes the base curve's 400,000th or
+    # 600,000th multiple: L/k rounds to ell there, so T_k is the base trace
+    # x itself, and count_s(X, k, L) counts the slope.  For ell read as its
+    # binary value the exact multiplicity at L = 40 is 399,999; reading the
+    # base curve from ell itself is ROADMAP item 3.
     tr = fn_to_triple(TorusPoint(1e-4, 0.37e-4))
-    for L, count in ((40.0, 803859), (60.0, 1811577)):
+    for L, count in ((40.0, 803860), (60.0, 1811578)):
         tracemalloc.start()
         try:
             n = _kernels.count_multi(tr.x, tr.y, tr.z, L)
@@ -458,47 +484,11 @@ def test_thin_walk_memory_does_not_grow_with_the_radius():
         assert peak < 2**20, (L, peak)
 
 
-def _unit_band_before(L):
-    # the band count_multi kept before it took one band per floor value:
-    # _band(L, 1) must reproduce it bit for bit
-    lo = 2.0 * math.cosh(L / 4.0 * (1.0 + 1e-6))
-    hi = 2.0 * math.cosh(L / 2.0 * (1.0 - 1e-6))
-    if (
-        2.0 < lo < hi
-        and L / (2.0 * math.acosh(lo / 2.0)) <= 2.0 - 2e-12
-        and L / (2.0 * math.acosh(hi / 2.0)) >= 1.0 + 1e-12
-    ):
-        return lo, hi
-    return math.inf, -math.inf
-
-
-def test_count_multi_band_is_empty_where_it_cannot_be_proved():
-    # at tiny, zero or negative radii the bands collapse and every slope
-    # takes the exact formula; the results still match the reference
-    tr = fn_to_triple(TorusPoint(1e-3, 0.0))
-    for L in (1e-9, 1e-6, 1e-4, 0.0, -0.5, -3.0):
-        assert _kernels.count_multi(tr.x, tr.y, tr.z, L) == _oracle(tr.x, tr.y, tr.z, L)[1]
-    for k in (1, 2):
-        for L in (1e-300, 1e-9, 1e-7, 0.0, -0.0, -1e-9, -1.0, -40.0):
-            assert _kernels._band(L, k) == (math.inf, -math.inf), (L, k)
-
-
-def test_bands_lie_inside_their_floor_interval():
-    rng = random.Random(2)
-    radii = [1e-3, 0.01, 0.1, 1.0, 2.5, 10.0, 80.0, 160.0, 700.0]
-    radii += [10 ** rng.uniform(-3.0, 2.8) for _ in range(200)]
-    for L in radii:
-        assert [v.hex() for v in _kernels._band(L, 1)] == [v.hex() for v in _unit_band_before(L)], L
-        for k in (1, 2):
-            lo, hi = _kernels._band(L, k)
-            assert lo < hi, (L, k)
-            # strictly inside the traces of lengths L/(k+1) and L/k
-            assert 2.0 * math.cosh(L / (2.0 * (k + 1))) < lo < hi < 2.0 * math.cosh(L / (2.0 * k))
-            # the formula gives k at both ends and at the floats just inside
-            for t in (lo, math.nextafter(lo, math.inf), math.nextafter(hi, 0.0), hi):
-                assert math.floor(L / (2.0 * math.acosh(t / 2.0))) == k, (L, k, t)
-        # the floor-2 band ends below the unit band
-        assert _kernels._band(L, 2)[1] < _kernels._band(L, 1)[0]
+def test_pure_walks_match_oracle_at_tiny_zero_and_negative_radii():
+    # at these radii the thresholds T_k round onto 2 or lie in the mirror
+    # image cosh(-u) = cosh(u), and the walks still count what count_s
+    # counts
+    _assert_pure_walks_match(_triple(TorusPoint(1e-3, 0.0)), [1e-9, 1e-6, 1e-4, 0.0, -0.5, -3.0])
 
 
 def test_pure_walks_reject_unbounded_radius():
@@ -543,6 +533,32 @@ def test_pure_walks_raise_arithmetic_error_where_a_trace_inside_falls_to_2():
                 kernel(*roots, L)
             assert not isinstance(info.value, ValueError)
             assert "L=%r" % (L,) in str(info.value)
+    # At (3, 7, 3) the child 3*3 - 7 is exactly 2, and its spine never
+    # grows: count_upto walked on until memory ran out, and count_multi
+    # divided by the zero length.  A child interpreter with a 512 MB
+    # address space and a timeout runs it, so that a walk that does not end
+    # fails this test alone.
+    child = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from multicurve import _kernels
+for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
+    start = time.perf_counter()
+    try:
+        kernel(3.0, 7.0, 3.0, 5.0)
+    except ArithmeticError as err:
+        print(type(err).__name__, time.perf_counter() - start, err)
+"""
+    src = str(Path(_kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    ran = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert ran.returncode == 0, ran.stderr[-2000:]
+    lines = ran.stdout.splitlines()
+    assert len(lines) == 3, ran.stdout
+    for line in lines:
+        kind, seconds, message = line.split(" ", 2)
+        assert kind == "ArithmeticError" and float(seconds) < 1.0, line
+        assert message.startswith("a trace inside the walk") and "L=5.0" in message, line
 
 
 def test_lattice_ball_kernels_reject_non_finite_radius():

@@ -395,6 +395,57 @@ def test_count_b_frozen_and_dominates():
     assert total == 36
 
 
+def _sum_count_s(X, L):
+    # sum over k of count_s(X, k, L): count_s does not grow with k, so the
+    # sum ends at its first zero
+    total, k = 0, 1
+    while n := count_s(X, k, L):
+        total, k = total + n, k + 1
+    return total
+
+
+def test_count_b_is_the_sum_of_count_s_at_round_ties():
+    # with L/ell an integer the base curve's last multiple has length L:
+    # count_b counts it exactly where count_s(X, L/ell, L) does, unlike a
+    # floor of L over the float length (241 against 242 at (0.5, 0, 20))
+    pairs = [(ell, float(L)) for ell in (0.125, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
+             for L in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30, 40) if (L / ell).is_integer()]
+    assert len(pairs) == 73
+    for ell, L in pairs:
+        X = TorusPoint(ell, 0.0)
+        assert count_b(X, L) == _sum_count_s(X, L), (ell, L)
+    assert count_b(TorusPoint(0.5, 0.0), 20.0) == 242
+
+
+def _tie_radii(X, ks):
+    # k times the float length of each root slope: there the slope's k-th
+    # multiple sits on the threshold L/k
+    tr = fn_to_triple(X)
+    return [k * 2.0 * math.acosh(t / 2.0) for t in (tr.x, tr.y, tr.z) for k in ks]
+
+
+def test_count_b_is_the_sum_of_count_s_in_the_bers_box():
+    rng = random.Random(23)
+    for _ in range(40):
+        ell = rng.uniform(0.1, 1.93)
+        X = TorusPoint(ell, rng.uniform(-ell / 2, ell / 2))
+        for L in [rng.uniform(0.5, 40.0) for _ in range(3)] + _tie_radii(X, (1, 2, 3, 5)):
+            assert count_b(X, L) == _sum_count_s(X, L), (X, L)
+
+
+def test_count_b_is_the_sum_of_count_s_at_thin_points():
+    # down to ell = 1e-3, where count_b takes the thin walk's arrays and its
+    # base curve has over 10,000 multiples
+    rng = random.Random(1023)
+    points = [TorusPoint(1e-3, 0.37e-3)]
+    for _ in range(6):
+        ell = 10 ** rng.uniform(-3.0, -1.0)
+        points.append(TorusPoint(ell, rng.uniform(-ell / 2, ell / 2)))
+    for X in points:
+        for L in (rng.uniform(5.0, 15.0), 25.0):
+            assert count_b(X, L) == _sum_count_s(X, L), (X, L)
+
+
 def test_estimate_b_ladder():
     ladder = estimate_B(SYM, 40.0)
     assert [L for L, _ in ladder] == [10.0, 20.0, 40.0]

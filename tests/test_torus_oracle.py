@@ -12,8 +12,8 @@ divided by t's slope dt/dlength = sinh(length/2): for the base curve at
 ell = 1e-5 it is about 1e-5 of its length.  So each length is compared to
 1e-12 relative plus that loss, and a count is checked only where no exact
 length lies within 1e-9 relative, plus that loss, of one of its thresholds
-L/k.  The inputs where the kernels are wrong today (the degenerate points
-of ROADMAP item 3, the round ties of item 14) are not here.
+L/k.  The inputs where the kernels are wrong today, the degenerate points
+of ROADMAP item 3, are not here.
 """
 
 import math
