@@ -39,9 +39,15 @@ the pruning rule from the roots until an edge's mediant exceeds both its
 ends; below such an edge every trace the walk meets is <= the bound, so
 phase 2 tests a child against the bound alone and closes each node whose
 subtree is two spines (a fixed end, and s' = t*s - s_prev) in two tight
-loops.  Float rounding is monotone, so a spine from ends >= 2 never
+loops.  Float rounding is monotone, so a spine from ends above 2 never
 decreases and the nodes it skips are exactly those the rule would prune;
 _close gives the argument.
+
+Every end of a node that reaches the spine-pair test of _close or
+slopes_upto is above 2, so the test does not check it: a root, checked by
+_check_roots; a trace the walk counted or listed, which raises in _mult or
+slopes_upto if it is at most 2; a trace no smaller than a phase-2 spine's
+first; or, in slopes_upto, a trace above tmax >= 2.
 
 count_multi counts the multiples k*gamma with k*length(gamma) <= L by the
 test count_upto(L/k) makes: a slope of trace t has max{k >= 1 : t <= T_k}
@@ -70,8 +76,8 @@ own left spines in lockstep, as float64 arrays of at most 4096 lanes:
 count the lanes, emit the right children that are <= tmax as the next
 generation, step, and drop the lanes above tmax.  A lane set under 64
 goes back to the scalar stack without numpy's set-up.  Past the last
-side child below tmax the spine is counted without being recorded,
-by a loop that only steps and compares above T_2.  Every trace comes from
+side child below tmax the spine lies above T_2, and a loop that only steps
+and compares counts it without recording it.  Every trace comes from
 the same IEEE operation on the same operands as in the scalar loop, and a
 child is dropped exactly when the scalar loop drops it, so the nodes
 counted are the scalar walk's.  count_multi reads each trace's k from the
@@ -499,7 +505,7 @@ def _phase1(x, y, z, L, tmax, th):
 
 
 @functools.lru_cache(maxsize=1)
-def _thin_walk(x, y, z, L, tmax):
+def _thin_walk(x, y, z, L):
     """(count_upto, count_multi) for a thin walk (see _count): the number
     of slopes with trace <= tmax and the sum of their multiples.  The last
     pair is kept, so the two kernels called at one (x, y, z, L) walk once,
@@ -518,6 +524,7 @@ def _thin_walk(x, y, z, L, tmax):
     loop walks, the subtrees below the other phase-2 edges and small lane
     sets, _close walks once for both numbers, as phase 1 walks its few
     nodes."""
+    tmax = _trace_bound(L)
     th = _thresholds(L)
     count, total, grow = _phase1(x, y, z, L, tmax, th)
     t, end = (x, 0) if x <= y else (y, 1)
@@ -547,19 +554,21 @@ def _close(grow, L, tmax, th):
     Each popped node is counted, its right child stacked and its left child
     walked next, a child above tmax being dropped.  The loop also closes
     spine pairs.  Take a node (tl, tr, tm) with tm above
-    gate = max(T_2, sqrt(tmax)), both ends >= 2 and below tm, and both
+    gate = max(T_2, sqrt(tmax)), both ends below tm, and both
     cross grandchildren (cl*tm - tl and tm*cr - tr, for its children cl and
     cr) above tmax.  It roots two spines and nothing else: s' = tl*s - s_prev
     down the left from (s_prev, s) = (tr, tm), and s' = s*tr - s_prev down
     the right from (tl, tm).  Float rounding is monotone, so from
-    s_prev <= s and a fixed trace t >= 2 it follows that
+    s_prev <= s and a fixed trace t > 2, as every end is, it follows that
     fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
     decrease, each cross child further down is at least the first one and
     is pruned as the walk would prune it, and each spine stops at its first
     trace above tmax.  Spine traces are at least tm, above T_2, so each
     adds 1 and takes no test.  The gate's sqrt(tmax) only spares the test
     at nodes that seldom pass it: the count rests on the other conditions,
-    and the multiples on the gate being at least T_2."""
+    and the multiples on the gate being at least T_2.  The cross tests
+    alone put a spine trace above (tmax + tl)/tm, which is at least T_2
+    only in exact arithmetic: T_2*T_2 = tmax + 2 holds to a few ulps."""
     t2, t3, least = th[-2], th[-3], th[0]
     last = len(th) - 1
     count = n = 0
@@ -580,8 +589,8 @@ def _close(grow, L, tmax, th):
             cl = tl * tm - tr
             if (
                 tm > gate
-                and 2.0 <= tl < tm
-                and 2.0 <= tr < tm
+                and tl < tm
+                and tr < tm
                 and cl * tm - tl > tmax
                 and tm * cr - tr > tmax
             ):
@@ -620,25 +629,18 @@ def _tally(t, floors):
     return len(t), len(floors) * len(t) - int(floors.searchsorted(t).sum())
 
 
-def _climb(t, a, s, L, tmax, th):
-    """(number, sum of multiples) over the spine s' = t*s - a from s to its
-    last trace <= tmax, for a spine whose side children are all above tmax.
+def _climb(t, a, s, tmax):
+    """Number of traces of the spine s' = t*s - a from s to its last trace
+    <= tmax, for a spine whose side children are all above tmax.
 
-    A spine node whose length is at most L/2 has a side child no longer
-    than L, so past the last side child below tmax the spine lies above
-    T_2, where each trace has one multiple, but for the traces near its
-    start.  The spine never decreases (see _close): the traces up to T_2
-    take _mult, and the rest up to tmax are counted by a loop that only
-    steps and compares.  That loop makes four steps to a pass and compares
-    the fourth trace alone: if it is <= tmax, so are the three before it."""
+    _spine calls it only with s above its cut: tmax, or
+    sqrt(lam*(tmax + t)), which exceeds T_2 = sqrt(tmax + 2) by a relative
+    margin of at least (lam - 1)/2 >= 1e-8, as t >= 2 + 2^-51.  The spine
+    never decreases (see _close), so each trace counted has one multiple.
+    The loop makes four steps to a pass and compares the fourth trace
+    alone: if it is <= tmax, so are the three before it."""
     top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
-    t2 = th[-2]
-    count = n = 0
-    while s <= t2:
-        n += _mult(s, L, th)
-        count += 1
-        a, s = s, t * s - a
-    inside = 0
+    count = 0
     while True:
         s1 = t * s - a
         s2 = t * s1 - s
@@ -646,11 +648,11 @@ def _climb(t, a, s, L, tmax, th):
         if not s3 < top:
             break
         a, s = s3, t * s3 - s2
-        inside += 4
+        count += 4
     while s < top:
-        inside += 1
+        count += 1
         a, s = s, t * s - a
-    return count + inside, n + inside
+    return count
 
 
 def _spine(t, a, s, L, tmax, th):
@@ -688,8 +690,8 @@ def _spine(t, a, s, L, tmax, th):
         # s <= tmax is the next spine node and a its predecessor
         if s > cut:
             if s * a - t > tmax:
-                n, m = _climb(t, a, s, L, tmax, th)
-                return count + n, total + m
+                n = _climb(t, a, s, tmax)
+                return count + n, total + n
             cut = tmax
         seg = [a, s]
         app = seg.append
@@ -772,7 +774,7 @@ def slopes_upto(x, y, z, L):
     (pl, ql), down the right by the right end's (pr, qr).  Such a node's
     ends are below its trace, so it passed the pruning rule by that trace
     being <= tmax, as every node _close meets does.  Spine traces start
-    from ends >= 2 and never decrease; any other listed trace that is not
+    from ends above 2 and never decrease; any other listed trace that is not
     above 2, as one off the cusp identity can be, raises ArithmeticError."""
     _check_roots(x, y, z)
     tmax = _trace_bound(L)
@@ -799,8 +801,8 @@ def slopes_upto(x, y, z, L):
                 cl = tl * tm - tr
                 if (
                     tm > gate
-                    and 2.0 <= tl < tm
-                    and 2.0 <= tr < tm
+                    and tl < tm
+                    and tr < tm
                     and cl * tm - tl > tmax
                     and tm * cr - tr > tmax
                 ):
@@ -872,7 +874,7 @@ def _count(x, y, z, L, multi):
             m = min(u, z, x * y - z)
             # m > tmax: no spine trace at all, and no acosh spent to see it
             if m <= tmax and m * math.cosh(_LANES * math.acosh(t / 2.0)) <= tmax:
-                count, total = _thin_walk(x, y, z, L, tmax)
+                count, total = _thin_walk(x, y, z, L)
                 return total if multi else count
         th = _thresholds(L) if multi else _UPTO
         _, n, grow = _phase1(x, y, z, L, tmax, th)

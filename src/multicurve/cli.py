@@ -628,6 +628,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write("numeric failure: %s\n" % exc)
         return 3
+    except MemoryError as exc:
+        sys.stderr.write("out of memory: %s\n" % (str(exc) or "allocation failed"))
+        return 3
     except (ConfigError, ValueError, OSError, KeyError) as exc:
         # KeyError carries a quoted message (unknown surface or table entry)
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

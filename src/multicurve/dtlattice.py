@@ -56,9 +56,6 @@ class DTPoint:
         if any(v < 0 for v in self.m):
             raise ValueError("intersection numbers m_i must be nonnegative")
 
-    def is_zero(self) -> bool:
-        return not any(self.m) and not any(self.t)
-
 
 @dataclass(frozen=True)
 class CombWeights:

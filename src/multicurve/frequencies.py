@@ -18,6 +18,7 @@ Everything here is exact in Q[pi²]; floats appear only in reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -206,11 +207,8 @@ def b_from_frequencies(
         if cut.surface != surface:
             raise ValueError("cut %r does not live on %s" % (cut, surface.name))
         k = cut.k
-        weights = [[]]
-        for _ in range(k):
-            weights = [w + [q] for w in weights for q in range(1, cap + 1)]
         vol = piece_volume_product(cut, table)
-        for a in weights:
+        for a in itertools.product(range(1, cap + 1), repeat=k):
             partial = partial + _count_polynomial(cut, a, kappa, vol).coefficient((cut.surface.dim,))
         c_one = float(frequency(cut, [1] * k, kappa, table))
         tail += c_one * k * zeta2f ** (k - 1) / cap

@@ -39,13 +39,6 @@ class VolumeTable:
         b2 = [Fraction(b) ** 2 for b in boundary_lengths]
         return self.get(g, n).evaluate(b2)
 
-    def m_value(self, g: int, n: int) -> PiRat:
-        """Total volume with all ends cusps."""
-        return self.volume(g, n, [0] * n)
-
-    def __contains__(self, key):
-        return tuple(key) in self.entries
-
 
 def _parse_term(text: str, n: int):
     coeff = None

@@ -501,6 +501,29 @@ def test_ball_past_its_budget_exits_3_at_once(capsys):
     assert doc["ladder"][0]["estimate"] == (16000**2 + 16000) / 16000**2
 
 
+def test_sample_arrays_larger_than_memory_exit_3():
+    # 10^14 samples ask numpy for 728 TiB at once, which it refuses without
+    # allocating; both commands printed an _ArrayMemoryError traceback and
+    # exited 1, the code of a failed verify check.  A child interpreter
+    # with a 1 GB address space runs them, so that a host which would grant
+    # the array fails this test alone
+    child = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from multicurve import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (["torus", "mc", "--functional", "B"],
+                 ["cells", "integrate", "--surface", "S11", "--k", "1", "--floor", "1e-3"]):
+        ran = subprocess.run([sys.executable, "-c", child, *argv, "--samples", "100000000000000"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (ran.returncode, ran.stdout) == (3, ""), ran.stderr[-2000:]
+        assert ran.stderr.startswith("out of memory: Unable to allocate 728. TiB"), ran.stderr
+        assert ran.stderr.count("\n") == 1, ran.stderr
+
+
 def test_verify_single_check_passes(capsys):
     assert cli.main(["verify", "--only", "frequency-exactness"]) == 0
     out = capsys.readouterr().out

@@ -48,8 +48,6 @@ def brute_count(dec, wts, L):
 def test_point_validation():
     p = DTPoint((1, 0), (2, 3))
     assert p.m == (1, 0) and p.t == (2, 3)
-    assert not p.is_zero()
-    assert DTPoint((0, 0), (0, 0)).is_zero()
     with pytest.raises(ValueError):
         DTPoint((1,), (2, 3))
     with pytest.raises(ValueError):
@@ -319,7 +317,7 @@ def exact_ball(dec, wts, L, tol=Fraction(1, 10**9)):
             if abs(cost - R) <= tol:
                 raise _NearTie
             p = DTPoint(m, t)
-            if cost <= R and not p.is_zero() and in_lambda(p, dec):
+            if cost <= R and any(m + t) and in_lambda(p, dec):
                 out.add(p)
             return
         mi = 0

@@ -384,6 +384,30 @@ def test_close_tallies_both_numbers_in_one_pass():
         assert _kernels._close(list(grow), L, tmax, th) == (n, multi - total), (triple, L)
 
 
+def test_climb_counts_as_a_plain_loop_does():
+    # _climb steps four traces to a pass against nextafter(tmax); a plain
+    # loop steps one at a time against tmax.  With tmax on a trace and one
+    # float below it, every spine from 0 to 14 traces is met: 0-3 traces,
+    # exact multiples of 4, multiples of 4 with a remainder, and a first
+    # trace s above tmax
+    def plain(t, a, s, tmax):
+        n = 0
+        while s <= tmax:
+            n += 1
+            a, s = s, t * s - a
+        return n
+
+    for t, a, s in ((2.5, 3.0, 4.0), (2.0 + 2.0**-40, 5.0, 5.0 + 1e-9), (40.0, 3.0, 7.0)):
+        bounds = [s / 2.0]
+        u, v = a, s
+        for _ in range(14):
+            bounds += [v, math.nextafter(v, -math.inf)]
+            u, v = v, t * v - u
+        counts = [plain(t, a, s, tmax) for tmax in bounds]
+        assert sorted(set(counts)) == list(range(15)), (t, a, s)
+        assert [_kernels._climb(t, a, s, tmax) for tmax in bounds] == counts, (t, a, s)
+
+
 # --- the kept pair of a thin walk -------------------------------------------
 
 
@@ -455,8 +479,7 @@ def test_errors_are_raised_on_every_call_never_kept(monkeypatch):
                 kernel(thin[0], thin[1], 2.0, 20.0)
     # the failing thin walk ran on each of its four calls; the bad radii and
     # roots never got past the checks to the kept pair, which still holds
-    assert calls["_thin_walk"] == [thin + (20.0, _kernels._trace_bound(20.0))] + [
-        (2.01, 1e80, 1.5e80, 1400.0, _kernels._trace_bound(1400.0))] * 4
+    assert calls["_thin_walk"] == [thin + (20.0,)] + [(2.01, 1e80, 1.5e80, 1400.0)] * 4
     walked = len(calls["_spine"])
     assert _kernels.count_upto(*thin, 20.0) == kept
     assert len(calls["_spine"]) == walked
@@ -524,41 +547,38 @@ def test_pure_walks_reject_roots_at_or_below_2():
 def test_pure_walks_raise_arithmetic_error_where_a_trace_inside_falls_to_2():
     # off the cusp identity a trace below the roots can fall to 2 or below
     # although all four roots pass the check; acosh raised a bare
-    # ValueError there, which the command line maps to exit 2, not 3
+    # ValueError there, which the command line maps to exit 2, not 3.
     # slopes_upto hung at (2.1, 10, 2.2): the first trace below 2 appears
-    # at depth 1, and from there on the negative traces are always pushed
-    for roots, L in (((2.01, 1e80, 1.5e80), 1400.0), ((2.1, 10.0, 2.2), 5.0)):
-        for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
-            with pytest.raises(ArithmeticError, match="inside the walk") as info:
-                kernel(*roots, L)
-            assert not isinstance(info.value, ValueError)
-            assert "L=%r" % (L,) in str(info.value)
+    # at depth 1, and from there on the negative traces are always pushed.
     # At (3, 7, 3) the child 3*3 - 7 is exactly 2, and its spine never
     # grows: count_upto walked on until memory ran out, and count_multi
-    # divided by the zero length.  A child interpreter with a 512 MB
-    # address space and a timeout runs it, so that a walk that does not end
-    # fails this test alone.
+    # divided by the zero length.  The count walks rest on _mult raising at
+    # such a trace, and walk on without end where it does not.  A child
+    # interpreter with a 512 MB address space and a timeout runs every
+    # case, so that a walk that does not end fails this test alone.
     child = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
 from multicurve import _kernels
-for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
-    start = time.perf_counter()
-    try:
-        kernel(3.0, 7.0, 3.0, 5.0)
-    except ArithmeticError as err:
-        print(type(err).__name__, time.perf_counter() - start, err)
+for roots, L in (((2.01, 1e80, 1.5e80), 1400.0), ((2.1, 10.0, 2.2), 5.0), ((3.0, 7.0, 3.0), 5.0)):
+    for kernel in (_kernels.count_upto, _kernels.count_multi, _kernels.slopes_upto):
+        start = time.perf_counter()
+        try:
+            kernel(*roots, L)
+        except ArithmeticError as err:
+            print(type(err).__name__, time.perf_counter() - start, err)
 """
     src = str(Path(_kernels.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     ran = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
     assert ran.returncode == 0, ran.stderr[-2000:]
     lines = ran.stdout.splitlines()
-    assert len(lines) == 3, ran.stdout
-    for line in lines:
+    assert len(lines) == 9, ran.stdout
+    for line, L in zip(lines, [1400.0] * 3 + [5.0] * 6):
+        # ArithmeticError itself: no ValueError, ZeroDivisionError or other
         kind, seconds, message = line.split(" ", 2)
         assert kind == "ArithmeticError" and float(seconds) < 1.0, line
-        assert message.startswith("a trace inside the walk") and "L=5.0" in message, line
+        assert message.startswith("a trace inside the walk") and "L=%r" % (L,) in message, line
 
 
 def test_lattice_ball_kernels_reject_non_finite_radius():

@@ -41,7 +41,8 @@ def test_no_tracked_file_is_ignored():
 def _definitions(tree):
     """(name, first line, last line) of each public function, class and
     constant defined by a top-level statement of a module, except those a
-    decorator of the same module registers (verify's checks)."""
+    decorator of the same module registers (verify's checks), and of each
+    public method of a top-level class, named Class.method."""
     local = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -58,6 +59,11 @@ def _definitions(tree):
         for name in names:
             if not name.startswith("_"):
                 yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield "%s.%s" % (node.name, item.name), item.lineno, item.end_lineno
 
 
 def _uses(tree):
@@ -85,10 +91,13 @@ def test_every_public_library_name_is_reached():
     its tests reach is code that no command, check or benchmark runs:
     delete it with its tests, or list it in KEEP with the reason.
 
-    Methods and class attributes are out of scope: a method is reached
-    through an instance, which a scan of names cannot follow.  So is a
-    function that a decorator of its own module registers: the registry,
-    not its name, is how it is reached.
+    A public method of a top-level class, Class.method, is reached by an
+    attribute access of its name alone: it is called through an instance,
+    which a scan of names cannot follow to its class, so an access of the
+    same name on any object counts.  Dunders, which the language calls,
+    and class attributes are out of scope.  So is a function that a
+    decorator of its own module registers: the registry, not its name, is
+    how it is reached.
     """
     lib = sorted(SRC.rglob("*.py"))
     files = lib + sorted((ROOT / "perfbench").rglob("*.py"))
@@ -105,15 +114,20 @@ def test_every_public_library_name_is_reached():
     def inside(f, line, spans):
         return any(f == g and first <= line <= last for g, first, last in spans)
 
+    def users(home, name):
+        # where a use can name the definition: a method by attribute only
+        attr = name.rpartition(".")[2]
+        return [(f, line) for f, line, bare in uses.get(attr, ())
+                if not bare or (f == home and attr == name)]
+
     dead = set()
     while True:  # grows until no use of a live name lies in dead code
         dead_spans = [(f, *defs[f, name]) for f, name in dead]
         now = {
             (home, name) for (home, name), span in defs.items()
             if name not in KEEP and not any(
-                (not bare or f == home)
-                and not inside(f, line, [(home, *span)] + dead_spans)
-                for f, line, bare in uses.get(name, ()))
+                not inside(f, line, [(home, *span)] + dead_spans)
+                for f, line in users(home, name))
         }
         if now == dead:
             break
