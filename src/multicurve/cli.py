@@ -373,10 +373,9 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
         raise ConfigError("--cap must be at least 1")
     # partial double sum of the identity  sum c(q1 g, q2 g) = a over
     # q1, q2 <= cap: joint_frequency is bilinear in its marginals, so the
-    # sum is joint_frequency(S, S, a, b) with S the sum of the singles
-    singles = frequencies.PiRat(0)
-    for q in range(1, args.cap + 1):
-        singles = singles + frequencies.frequency(cut, [q], kappa, table)
+    # sum is joint_frequency(S, S, a, b) with S the sum of the singles,
+    # which b_from_frequencies sums within its budget
+    singles, _ = frequencies.b_from_frequencies(cut.surface, [(cut, kappa)], table, args.cap)
     total = frequencies.joint_frequency(singles, singles, a, b)
     doc = {
         "q1": args.q1,

@@ -185,6 +185,14 @@ def frequency(cut: CutData, a, kappa, table: VolumeTable) -> PiRat:
     return poly.coefficient((cut.surface.dim,))
 
 
+# b_from_frequencies' budget: the weight vectors it may sum.  On S11 a
+# weight cost 78 us at cap 600 and 330 us at cap 10^5, as the partial sum's
+# denominator grows; the whole sum took 0.047, 4.2 and 33 s at caps 600,
+# 3*10^4 and 10^5 (2 shared x86-64 vCPUs).  verify sums to cap 100 and
+# the benchmark to 600.
+_WEIGHTS = 10**5
+
+
 def b_from_frequencies(
     surface: SurfaceType,
     types,
@@ -197,9 +205,18 @@ def b_from_frequencies(
     types: iterable of (CutData, kappa).  The tail uses the weight-scaling
     bound c(a.γ) <= c(1.γ)·prod 1/a_i² together with
     sum_{a not in [1..cap]^k} prod 1/a_i² <= k·ζ(2)^(k-1)/cap.
+
+    Raises ArithmeticError, before any weight is summed, where the types
+    hold more than _WEIGHTS weight vectors cap^k in all.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    types = list(types)
+    weights = sum(cap ** cut.k for cut, _ in types)
+    if weights > _WEIGHTS:
+        raise ArithmeticError(
+            "frequency sums to cap %d hold %d weight vectors, above the budget of %d"
+            % (cap, weights, _WEIGHTS))
     partial = PiRat(0)
     tail = 0.0
     zeta2f = float(ZETA2)

@@ -501,6 +501,24 @@ def test_ball_past_its_budget_exits_3_at_once(capsys):
     assert doc["ladder"][0]["estimate"] == (16000**2 + 16000) / 16000**2
 
 
+def test_frequency_caps_past_their_budget_exit_3_at_once():
+    # freq joint summed its singles one q at a time and did not stop at a
+    # cap of 10^20; both commands now count the weights before summing.  A
+    # child interpreter runs them, so that a sum that did start is stopped
+    # by the timeout
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv, cap in ((["freq", "joint"], 10**20), (["freq", "sum-b", "--surface", "S11"], 10**9)):
+        start = time.perf_counter()
+        ran = subprocess.run([sys.executable, "-m", "multicurve.cli", *argv, "--cap", str(cap)],
+                             capture_output=True, text=True, env=env, timeout=30)
+        elapsed = time.perf_counter() - start
+        assert (ran.returncode, ran.stdout) == (3, ""), ran.stderr[-2000:]
+        assert ran.stderr == ("numeric failure: frequency sums to cap %d hold %d weight vectors, "
+                              "above the budget of 100000\n" % (cap, cap)), ran.stderr
+        assert elapsed < 10.0, (argv, elapsed)
+
+
 def test_sample_arrays_larger_than_memory_exit_3():
     # 10^14 samples ask numpy for 728 TiB at once, which it refuses without
     # allocating; both commands printed an _ArrayMemoryError traceback and

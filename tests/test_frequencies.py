@@ -207,6 +207,21 @@ def test_b_from_frequencies_validation():
         b_from_frequencies(SurfaceType(0, 4), types, TABLE, 5)
 
 
+def test_b_from_frequencies_raises_above_its_budget_before_summing():
+    from multicurve.frequencies import _WEIGHTS
+
+    s11 = cut_nonseparating_s11()
+    # cap^k weight vectors summed over the types, counted before the first
+    # weight is summed: a sum that size would take minutes
+    for types, cap in (([(s11, 1)], _WEIGHTS + 1), ([(s11, 1), (s11, 1)], _WEIGHTS // 2 + 1),
+                       ([(s11, 1)], 10**400)):
+        with pytest.raises(ArithmeticError, match="weight vectors, above the budget of 100000$"):
+            b_from_frequencies(SurfaceType(1, 1), types, TABLE, cap)
+    # the types are read once, so a generator serves as a list does
+    listed = b_from_frequencies(SurfaceType(1, 1), [(s11, 1)], TABLE, 10)
+    assert b_from_frequencies(SurfaceType(1, 1), ((c, k) for c, k in [(s11, 1)]), TABLE, 10) == listed
+
+
 def test_b_closed_form_s11():
     assert b_closed_form_s11(1) == PiRat.pi2(1, Fraction(1, 12))
     assert b_closed_form_s11(Fraction(1, 2)) == PiRat.pi2(1, Fraction(1, 24))

@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,121 @@ def test_close_tallies_both_numbers_in_one_pass():
         n, m = _kernels._close(list(grow), L, tmax, _kernels._UPTO)
         assert n == m == upto - count, (triple, L)
         assert _kernels._close(list(grow), L, tmax, th) == (n, multi - total), (triple, L)
+
+
+def _close_reference(grow, L, tmax, th):
+    """_close as a loop that stacks every child <= tmax and tests a node for
+    a spine pair only once it takes the node back: no child is closed where
+    it is made, and no leaf is taken on sight."""
+    t2, t3, least = th[-2], th[-3], th[0]
+    last = len(th) - 1
+    count = n = 0
+    gate = max(t2, math.sqrt(tmax))
+    while grow:
+        tl, tr, tm = grow.pop()
+        while True:
+            count += 1
+            if tm <= t2:
+                if tm > t3:
+                    n += 1
+                elif tm > least:
+                    n += last - bisect_left(th, tm)
+                else:
+                    n += _kernels._mult(tm, L, th) - 1
+            cr = tm * tr - tl
+            cl = tl * tm - tr
+            if tm > gate and tl < tm and tr < tm and cl * tm - tl > tmax and tm * cr - tr > tmax:
+                a, s = tm, cl
+                while s <= tmax:
+                    count += 1
+                    a, s = s, tl * s - a
+                a, s = tm, cr
+                while s <= tmax:
+                    count += 1
+                    a, s = s, s * tr - a
+                break
+            if cr <= tmax:
+                grow.append((tm, tr, cr))
+            if cl <= tmax:
+                tr, tm = tm, cl
+            else:
+                break
+    return count, count + n
+
+
+def _close_calls(monkeypatch, triple, radii):
+    """(caller, phase-2 edges, L, tmax) of each _close call that count_upto
+    and count_multi make at the radii, the edges copied before the call
+    empties them."""
+    _kernels._thin_walk.cache_clear()
+    close, seen = _kernels._close, []
+
+    def record(grow, L, tmax, th):
+        seen.append((sys._getframe(1).f_code.co_name, list(grow), L, tmax))
+        return close(grow, L, tmax, th)
+
+    monkeypatch.setattr(_kernels, "_close", record)
+    for L in radii:
+        _kernels.count_upto(*triple, L)
+        _kernels.count_multi(*triple, L)
+    monkeypatch.undo()
+    return seen
+
+
+def _assert_close_matches_reference(monkeypatch, triple, radii):
+    """Every _close call the walks make at the radii, replayed under
+    count_upto's cuts and count_multi's thresholds, against the reference
+    loop; returns the callers seen."""
+    calls = _close_calls(monkeypatch, triple, radii)
+    for _, grow, L, tmax in calls:
+        for th in (_kernels._UPTO, _kernels._thresholds(L)):
+            expected = _close_reference(list(grow), L, tmax, th)
+            assert _kernels._close(list(grow), L, tmax, th) == expected, (triple, L, th)
+    return {caller for caller, _, _, _ in calls}
+
+
+def _slope_tie_radii(triple, L, every, ks):
+    # the ties of every `every`-th slope shorter than L, most of them met
+    # in phase 2: at k = 1 a child's trace is tmax itself, at k = 2 it is
+    # T_2, above the gate's sqrt(tmax)
+    slopes = _kernels.slopes_upto(*triple, L)[::every]
+    return [r for t, _, _ in slopes for k in ks for r in _ties(t, k)]
+
+
+def test_close_matches_the_reference_loop_in_the_bers_box(monkeypatch):
+    rng = random.Random(2025)
+    points = [TorusPoint(1.3, 0.475), TorusPoint(2 * math.acosh(1.5), 0.0)]
+    for _ in range(6):
+        ell = rng.uniform(0.3, 1.93)
+        points.append(TorusPoint(ell, rng.uniform(-ell / 2, ell / 2)))
+    for X in points:
+        triple = _triple(X)
+        radii = [20.0, 40.0, 80.0, 160.0] + _tie_radii(X, 160.0) + _slope_tie_radii(triple, 12.0, 5, (1, 2, 3))
+        assert _assert_close_matches_reference(monkeypatch, triple, radii) == {"_count"}
+
+
+def test_close_matches_the_reference_loop_at_thin_points(monkeypatch):
+    # the lane sets under _LANES that _lockstep hands back, and the edges
+    # whose fixed end is not the short root, both reach _close
+    for ell, L in ((1e-2, 24.0), (1e-2, 60.0), (3e-3, 30.0), (1e-3, 20.0)):
+        X = TorusPoint(ell, 0.37 * ell)
+        triple = _triple(X)
+        radii = [L] + _tie_radii(X, L) + _spine_tie_radii(triple, (3, 40), (1, 2))
+        callers = _assert_close_matches_reference(monkeypatch, triple, radii)
+        assert {"_thin_walk", "_lockstep"} <= callers, (ell, L)
+
+
+def test_close_matches_the_reference_loop_at_twisted_and_swapped_triples(monkeypatch):
+    # off the Bers box, and off the cusp identity where a node passes every
+    # spine test but one cross test
+    cases = [((2.0001, 9.99, 10.0), [2.0 * math.acosh(99.9 / 2.0)]),
+             ((9.99, 2.0001, 10.0), [2.0 * math.acosh(99.9 / 2.0)])]
+    for X in (TorusPoint(0.5, 2.2), TorusPoint(0.5, -2.2), TorusPoint(0.05, 0.33)):
+        x, y, z = _triple(X)
+        for triple in ((x, y, z), (y, x, z), (y, x, x * y - z)):
+            cases.append((triple, [2.5, 5.0, 10.0, 12.0] + _slope_tie_radii(triple, 5.0, 3, (1, 2, 3))))
+    for triple, radii in cases:
+        assert _assert_close_matches_reference(monkeypatch, triple, radii) == {"_count"}
 
 
 def test_climb_counts_as_a_plain_loop_does():
