@@ -30,25 +30,35 @@ cusp identity.
 
 slopes_upto lists each slope p/q as a (trace, q, p) triple, so that a plain
 sort orders the spectrum by trace, ties by q then p.  It walks from the
-roots with the pruning rule, and lists the two spines below a node that
-roots them and nothing else in two tight loops, by the rule _close closes
-spine pairs with.
+roots with the pruning rule, and lists the two spines below a node above
+both its ends and the gate G in two tight loops, as _close counts them.
 
 count_upto and count_multi share one walk in two phases.  Phase 1 applies
 the pruning rule from the roots until an edge's mediant exceeds both its
 ends; below such an edge every trace the walk meets is <= the bound, so
-phase 2 tests a child against the bound alone.  It closes each child
-whose subtree is two spines (a fixed end, and s' = t*s - s_prev) where
-the child is made, counting it and both spines in two tight loops instead
-of stacking it.  Float rounding is monotone, so a spine from ends above 2
-never decreases and the nodes it skips are exactly those the rule would
-prune; _close gives the argument.
+phase 2 tests a child against the bound alone.  It closes each child above
+the gate max(T_2, G) where the child is made, counting it and the two
+spines below it (a fixed end, and s' = t*s - s_prev) in two tight loops
+instead of stacking it.  G, from _gate, is the root of c*c - c = tmax with
+a relative margin of 2^-40.
 
-Every end of a node that reaches the spine-pair test of _close or
-slopes_upto is above 2, so the test does not check it: a root, checked by
-_check_roots; a trace the walk counted or listed, which raises in _mult or
-slopes_upto if it is at most 2; a trace no smaller than a phase-2 spine's
-first; or, in slopes_upto, a trace above tmax >= 2.
+The gate rests on two facts about float traces.  Rounding is monotone, so
+from s_prev <= s and a fixed end t > 2 it follows that
+fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s: a spine never decreases, and
+in phase 2 every child is at least both its ends.  And for every float
+c > G, fl(fl(c*c) - c) > tmax, which _gate proves with the rounding of
+each operation and of G itself.  So below a child c > G each spine trace
+is at least c and each end at most c, each cross grandchild, a spine trace
+times its predecessor less an end, is at least fl(fl(c*c) - c) and so
+above tmax, and each spine stops at its first trace above tmax: the child
+and its spines are the nodes the walk would meet below it, and each has
+one multiple, as it lies above T_2.  _close has the measurements.
+
+Every end of a node in phase 2, or at slopes_upto's spine test, is above
+2, so no test checks it: a root, checked by _check_roots; a trace the walk
+counted or listed, which raises in _mult or slopes_upto if it is at most
+2; a trace no smaller than a phase-2 spine's first; or, in slopes_upto, a
+trace above tmax >= 2.
 
 count_multi counts the multiples k*gamma with k*length(gamma) <= L by the
 test count_upto(L/k) makes: a slope of trace t has max{k >= 1 : t <= T_k}
@@ -383,6 +393,24 @@ def _trace_bound(L):
     return tmax
 
 
+def _gate(tmax):
+    """G = (1 + sqrt(1 + 4*tmax))/2 * (1 + 2^-40): the root of
+    c*c - c = tmax with a relative margin, formed so that it cannot
+    overflow.  For every float c > G, fl(fl(c*c) - c) > tmax.
+
+    Proof, with u = 2^-53 and G0 the exact root, G0 >= 2 as tmax >= 2.
+    For x >= 0, fl(x) >= x*(1 - u).  Each of the four roundings that form
+    G loses at most that factor, so G >= G0*(1 + 2^-40)*(1 - u)^4, above
+    G0*(1 + e) with e = 2^-41, and so is c.  If fl(c*c) passes the float
+    range it is inf, and inf - c is above tmax.  Else
+    fl(fl(c*c) - c) >= (c*c*(1 - u) - c)*(1 - u), and c*c*(1 - u) - c
+    increases with c > 1.  At c = G0*(1 + e) it is
+    tmax + e*(2*G0^2 - G0) + e^2*G0^2 - u*c^2 >= tmax + G0^2*(1.5e - 1.01u),
+    as 2*G0^2 - G0 >= 1.5*G0^2.  And tmax/(1 - u) < tmax + 1.01u*G0^2, as
+    tmax < G0^2; 1.5e > 2.02u leaves a margin of 2^11."""
+    return (0.5 + math.sqrt(0.25 + tmax)) * (1.0 + 2.0**-40)
+
+
 def _threshold(L, k):
     """T_k = 2*cosh((L/k)/2), the trace bound of count_upto(L/k): a slope
     of trace t has a k-th multiple of length <= L exactly where t <= T_k,
@@ -555,42 +583,36 @@ def _close(grow, L, tmax, th):
     Each node taken is counted and makes its two children; a child above
     tmax is dropped, and the rest are closed where they are made, or else
     the right one is stacked and the left one taken next.  A child
-    (tl, tr, tm) is closed when tm is above gate = max(T_2, sqrt(tmax)) and
-    both its ends, and both its cross grandchildren, cl*tm - tl and
-    tm*cr - tr for its own children cl and cr, are above tmax.  It then
-    roots two spines and nothing else: s' = tl*s - s_prev down the left
-    from (s_prev, s) = (tm, cl), and s' = s*tr - s_prev down the right from
-    (tm, cr).  Float rounding is monotone, so from s_prev <= s and a fixed
-    trace t > 2, as every end is, it follows that
-    fl(fl(t*s) - s_prev) >= fl(2s - s_prev) >= s.  Hence the spines never
-    decrease, each cross child further down is at least the first one and
-    is dropped as the walk would drop it, and each spine stops at its first
-    trace above tmax: the child and its spines are counted in place, and
-    they are the nodes the walk would meet below it.  Where cl (or cr) is
-    itself above tmax, its spine is empty and its cross test holds without
-    being made: cl > tmax > tl and tm > 2 give
-    fl(cl*tm) >= 2*cl > cl + tl, so fl(fl(cl*tm) - tl) >= cl > tmax.  One
-    moduli-mc pass (seed 1501) closed each of the 962,692 children past the
-    gate; a third had both spines empty, and another third one.
+    (tl, tr, tm) is closed when tm is above gate = max(T_2, G), G from
+    _gate.  It then roots two spines and nothing else: s' = tl*s - s_prev
+    down the left from (s_prev, s) = (tm, tl*tm - tr), and s' = s*tr - s_prev
+    down the right from (tm, tm*tr - tl).  The proof is in the module
+    docstring: every phase-2 child is at least both its ends, so the spines
+    never decrease from tm, and every cross grandchild below them is at
+    least fl(fl(tm*tm) - tm) > tmax.  So the child and its spines are
+    counted in place, each spine to its first trace above tmax, and they
+    are the nodes the walk would meet below it.  A child in the band
+    (sqrt(tmax), G], whose cross grandchildren may fall <= tmax, is walked
+    as any other.
 
     Every closed trace is at least the child's tm, above the gate and so
     above T_2: each adds 1 and takes no threshold test, and the nodes
     counted, and the multiples of each, are those of a walk that closes
-    nothing.  The child's own one multiple rests on the gate's T_2 term.
-    The cross tests alone put a spine trace above (tmax + tl)/tm, which is
-    at least T_2 only in exact arithmetic: T_2*T_2 = tmax + 2 holds to a
-    few ulps.  The gate's sqrt(tmax) only spares the cross tests at
-    children that seldom pass them.  An edge taken from grow is never
-    closed itself, only its children are; the walk through it is the same.
+    nothing.  G exceeds T_2 = sqrt(tmax + 2) wherever tmax > 2, but only in
+    exact arithmetic; the T_2 term makes the closed child's one multiple a
+    float comparison.  An edge taken from grow is never closed itself, only
+    its children are; the walk through it is the same.
 
-    Replaying the 4,185 calls of one moduli-mc pass (seed 1501, 2 shared
-    x86-64 vCPUs) in 11 interleaved rounds, closing each child where it is
-    made took a median 0.87x the time of a loop that stacks every child
-    and tests a node for a spine pair only once it is taken back."""
+    On one moduli-mc pass (seed 1, 2 shared x86-64 vCPUs) the 4,147 calls
+    closed 969,464 children; half of their 1.94 million spines were empty,
+    and 48 children fell in the band.  Replaying those calls in 11
+    interleaved rounds, the loop with the gate alone took a median 0.84x the
+    time of one that also tested each child's ends and cross grandchildren
+    against tmax."""
     t2, t3, least = th[-2], th[-3], th[0]
     last = len(th) - 1
     count = n = 0
-    gate = max(t2, math.sqrt(tmax))
+    gate = max(t2, _gate(tmax))
     pop, push = grow.pop, grow.append
     while grow:
         tl, tr, tm = pop()
@@ -606,41 +628,33 @@ def _close(grow, L, tmax, th):
             c = tm * tr - tl
             if c <= tmax:
                 # the right child (tm, tr, c)
-                if c > gate and c > tm and c > tr:
-                    cl = tm * c - tr
-                    cr = c * tr - tm
-                    if (cl > tmax or cl * c - tm > tmax) and (cr > tmax or c * cr - tr > tmax):
+                if c > gate:
+                    count += 1
+                    a, s = c, tm * c - tr
+                    while s <= tmax:
                         count += 1
-                        a, s = c, cl
-                        while s <= tmax:
-                            count += 1
-                            a, s = s, tm * s - a
-                        a, s = c, cr
-                        while s <= tmax:
-                            count += 1
-                            a, s = s, s * tr - a
-                    else:
-                        push((tm, tr, c))
+                        a, s = s, tm * s - a
+                    a, s = c, c * tr - tm
+                    while s <= tmax:
+                        count += 1
+                        a, s = s, s * tr - a
                 else:
                     push((tm, tr, c))
             c = tl * tm - tr
             if not c <= tmax:
                 break
             # the left child (tl, tm, c)
-            if c > gate and c > tl and c > tm:
-                cl = tl * c - tm
-                cr = c * tm - tl
-                if (cl > tmax or cl * c - tl > tmax) and (cr > tmax or c * cr - tm > tmax):
+            if c > gate:
+                count += 1
+                a, s = c, tl * c - tm
+                while s <= tmax:
                     count += 1
-                    a, s = c, cl
-                    while s <= tmax:
-                        count += 1
-                        a, s = s, tl * s - a
-                    a, s = c, cr
-                    while s <= tmax:
-                        count += 1
-                        a, s = s, s * tm - a
-                    break
+                    a, s = s, tl * s - a
+                a, s = c, c * tm - tl
+                while s <= tmax:
+                    count += 1
+                    a, s = s, s * tm - a
+                break
             tr, tm = tm, c
     return count, count + n
 
@@ -648,10 +662,10 @@ def _close(grow, L, tmax, th):
 def _floors(L, s, th):
     """The thresholds T_K, ..., T_1 as an ascending array, with K the
     multiples of s, the first trace of a spine.  Every trace t the array
-    path tallies from there on lies in [s, tmax]: the spine never decreases
-    and its side subtrees lie above it (see _close).  So t has from 1 to K
-    multiples, K less the number of thresholds below t, which
-    np.searchsorted(floors, t) reads."""
+    path tallies from there on lies in [s, tmax]: the spine never
+    decreases and its side subtrees lie above it (see the module
+    docstring).  So t has from 1 to K multiples, K less the number of
+    thresholds below t, which np.searchsorted(floors, t) reads."""
     import numpy as np
 
     return np.array([_threshold(L, k) for k in range(_mult(s, L, th), 0, -1)])
@@ -669,9 +683,9 @@ def _climb(t, a, s, tmax):
     _spine calls it only with s above its cut: tmax, or
     sqrt(lam*(tmax + t)), which exceeds T_2 = sqrt(tmax + 2) by a relative
     margin of at least (lam - 1)/2 >= 1e-8, as t >= 2 + 2^-51.  The spine
-    never decreases (see _close), so each trace counted has one multiple.
-    The loop makes four steps to a pass and compares the fourth trace
-    alone: if it is <= tmax, so are the three before it."""
+    never decreases (see the module docstring), so each trace counted has
+    one multiple.  The loop makes four steps to a pass and compares the
+    fourth trace alone: if it is <= tmax, so are the three before it."""
     top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
     count = 0
     while True:
@@ -707,12 +721,13 @@ def _spine(t, a, s, L, tmax, th):
     trace.
 
     With t > 2 and a < s, as at every phase-2 edge, the spine and its side
-    children never decrease (see _close), so once a side child is above
-    tmax every later one is, and _climb counts the rest of the spine.  A
-    spine s_k = A*lam^k + B*lam^-k with A, B > 0 and lam + 1/lam = t, as
-    every spine is on the cusp identity, has s_(k-1) >= s_k/lam, so its
-    side children die near s = sqrt(lam*(tmax + t)): recording stops there
-    and the side child is tested.  If it is still <= tmax, the spine is
+    children never decrease (see the module docstring), so once a side
+    child is above tmax every later one is, and _climb counts the rest of
+    the spine.  A spine s_k = A*lam^k + B*lam^-k with A, B > 0 and
+    lam + 1/lam = t, as every spine is on the cusp identity, has
+    s_(k-1) >= s_k/lam, so its side children die near
+    s = sqrt(lam*(tmax + t)): recording stops there and the side child is
+    tested.  If it is still <= tmax, the spine is
     recorded to its end.  The test decides where _climb starts, never what
     is counted."""
     lam = (t + math.sqrt(t * t - 4.0)) / 2.0
@@ -801,19 +816,23 @@ def slopes_upto(x, y, z, L):
 
     The walk keeps the kernels' pruning rule, descends into the left child
     and stacks the right one.  The negative tree starts from the right root
-    -1/0, so its mediants carry their sign.  A node that roots two spines
-    and nothing else, by _close's rule, tested here when the node is taken
-    rather than when it is made and with the gate sqrt(tmax), as no
-    multiples are read, has both spines listed in two tight loops: down the
-    left the label advances by the left end's (pl, ql), down the right by
-    the right end's (pr, qr).  Such a node's ends are below its trace, so
-    it passed the pruning rule by that trace being <= tmax, as every node
-    _close meets does.  Spine traces start
-    from ends above 2 and never decrease; any other listed trace that is not
-    above 2, as one off the cusp identity can be, raises ArithmeticError."""
+    -1/0, so its mediants carry their sign.  A node (tl, tr, tm) above both
+    its ends and above the gate G of _gate roots two spines, and the walk
+    would prune every other node below it, by the argument of the module
+    docstring: its spines never fall below tm, and the cross grandchildren
+    beside them lie above tmax and above both their ends.  With no phase
+    split the walk tests the ends, when it takes the node rather than when
+    it makes it, and with no multiples read the gate needs no T_2 term.
+    Both spines are listed in two tight loops: down the left the label
+    advances by the left end's (pl, ql), down the right by the right end's
+    (pr, qr).  Such a node's ends are below its trace, so it passed the
+    pruning rule by that trace being <= tmax, as every node _close meets
+    does.  Spine traces start from ends above 2 and never decrease; any
+    other listed trace that is not above 2, as one off the cusp identity
+    can be, raises ArithmeticError."""
     _check_roots(x, y, z)
     tmax = _trace_bound(L)
-    gate = math.sqrt(tmax)
+    gate = _gate(tmax)
     out = [(t, q, p) for t, q, p in ((x, 1, 0), (y, 0, 1)) if t <= tmax]
     app = out.append
     # the right root is 1/0 for the positive tree and -1/0 for the negative
@@ -834,13 +853,7 @@ def slopes_upto(x, y, z, L):
                     app((tm, qm, pm))
                 cr = tm * tr - tl
                 cl = tl * tm - tr
-                if (
-                    tm > gate
-                    and tl < tm
-                    and tr < tm
-                    and cl * tm - tl > tmax
-                    and tm * cr - tr > tmax
-                ):
+                if tm > gate and tl < tm and tr < tm:
                     a, s, p, q = tm, cl, pm + pl, qm + ql
                     while s <= tmax:
                         app((s, q, p))

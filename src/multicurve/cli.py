@@ -28,6 +28,7 @@ command compiles the layers it runs and no others.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -323,6 +324,24 @@ def cmd_freq_compute(cfg: RunConfig, args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits str(int) writes (4,300 by default
+    since 3.11 and 3.10.7) inside the block, and restore it after.  The
+    exact frequency sums print denominators of about 0.87*cap digits, and
+    `freq joint` twice that, so valid caps past about 4,900 and 2,500 passed
+    it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
     from . import frequencies
     from .volumes import volume_table_load
@@ -339,16 +358,17 @@ def cmd_freq_sum_b(cfg: RunConfig, args) -> int:
         cut.surface, [(cut, kappa)], table, args.cap
     )
     closed = frequencies.b_closed_form_s11(kappa)
-    doc = {
-        "surface": args.surface,
-        "cap": args.cap,
-        "partial": str(partial),
-        "partial_float": float(partial),
-        "tail_bound": tail,
-        "closed_form": str(closed),
-        "closed_form_float": float(closed),
-        "gap": float(closed) - float(partial),
-    }
+    with _all_digits():
+        doc = {
+            "surface": args.surface,
+            "cap": args.cap,
+            "partial": str(partial),
+            "partial_float": float(partial),
+            "tail_bound": tail,
+            "closed_form": str(closed),
+            "closed_form_float": float(closed),
+            "gap": float(closed) - float(partial),
+        }
     _emit(doc, cfg, args.out)
     return 0
 
@@ -377,20 +397,21 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
     # which b_from_frequencies sums within its budget
     singles, _ = frequencies.b_from_frequencies(cut.surface, [(cut, kappa)], table, args.cap)
     total = frequencies.joint_frequency(singles, singles, a, b)
-    doc = {
-        "q1": args.q1,
-        "q2": args.q2,
-        "a": str(a),
-        "b": str(b),
-        "c1": str(c1),
-        "c2": str(c2),
-        "joint": str(c12),
-        "joint_float": float(c12),
-        "cap": args.cap,
-        "identity_partial": str(total),
-        "identity_partial_float": float(total),
-        "identity_target_float": float(a),
-    }
+    with _all_digits():
+        doc = {
+            "q1": args.q1,
+            "q2": args.q2,
+            "a": str(a),
+            "b": str(b),
+            "c1": str(c1),
+            "c2": str(c2),
+            "joint": str(c12),
+            "joint_float": float(c12),
+            "cap": args.cap,
+            "identity_partial": str(total),
+            "identity_partial_float": float(total),
+            "identity_target_float": float(a),
+        }
     _emit(doc, cfg, args.out)
     return 0
 

@@ -180,6 +180,41 @@ def test_freq_joint_identity_partial_is_the_double_sum(capsys):
     assert doc["identity_partial_float"] == float(total)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="str(int) has no digit limit before Python 3.10.7")
+def test_freq_sums_print_every_digit_past_the_str_limit(capsys):
+    # Python writes at most 4,300 digits by str(int).  The exact partial
+    # sums outgrew that at sum-b's cap 4,967 and at joint's cap near 2,500,
+    # and both commands exited 2 on that valid input.  They now lift the
+    # limit around their own str calls and restore it: on each side of the
+    # old limits the value printed is the exact sum, and outside the
+    # commands the limit holds
+    limit = sys.get_int_max_str_digits()
+    assert limit
+    cut, kappa = cli._builtin_cut("S11")
+    table = volume_table_load(None)
+    a, b = frequencies.PiRat(Fraction(9, 20)), frequencies.b_closed_form_s11(kappa)
+    cases = [(["freq", "sum-b", "--surface", "S11"], "partial", cap) for cap in (4500, 5000)]
+    cases += [(["freq", "joint", "--q1", "1", "--q2", "2", "--a", "9/20"], "identity_partial", cap)
+              for cap in (2400, 2600)]
+    longest = []
+    for argv, key, cap in cases:
+        doc = run_json(capsys, argv + ["--cap", str(cap)])
+        assert sys.get_int_max_str_digits() == limit
+        value, _ = frequencies.b_from_frequencies(cut.surface, [(cut, kappa)], table, cap)
+        if key == "identity_partial":
+            value = frequencies.joint_frequency(value, value, a, b)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert doc[key] == str(value), (argv, cap)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert doc[key + "_float"] == float(value)
+        longest.append(max(map(len, doc[key].replace("/", " ").replace("*", " ").split())))
+    # below and above the old limit, for each command
+    assert [n > limit for n in longest] == [False, True, False, True], longest
+
+
 def test_torus_count(capsys):
     ell = 2 * math.acosh(1.5)
     doc = run_json(

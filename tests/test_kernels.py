@@ -145,15 +145,16 @@ def test_pure_walks_match_oracle_at_twisted_triples():
 
 def test_pure_walks_match_oracle_where_a_spine_root_fails_the_left_cross_test():
     # Off the cusp identity, which the walks never assume.  At tmax = 99.9
-    # a phase-2 node passes every spine test but the left cross grandchild
-    # cl*tm - tl > tmax; count_upto reads 622 instead of 636 without it.
+    # a node above sqrt(tmax) and both its ends has a left cross grandchild
+    # <= tmax: it lies in the band below the gate G, and with a gate of
+    # sqrt(tmax) and no cross tests count_upto read 623 instead of 636.
     _assert_pure_walks_match((2.0001, 9.99, 10.0), [2.0 * math.acosh(99.9 / 2.0)])
 
 
 def test_pure_walks_match_oracle_where_a_spine_root_fails_the_right_cross_test():
-    # the mirror image of the triple above: x and y swapped, so the node
-    # passes every spine test but the right cross grandchild tm*cr - tr >
-    # tmax; slopes_upto listed 622 slopes instead of 636 without it
+    # the mirror image of the triple above: x and y swapped, so the node's
+    # right cross grandchild is the one <= tmax; with a gate of sqrt(tmax)
+    # and no cross tests slopes_upto listed 622 slopes instead of 636
     _assert_pure_walks_match((9.99, 2.0001, 10.0), [2.0 * math.acosh(99.9 / 2.0)])
 
 
@@ -366,7 +367,8 @@ def test_close_tallies_both_numbers_in_one_pass():
     # the sum under count_upto's cuts at 2 or count_multi's thresholds,
     # thin walks both numbers under count_multi's.  Each must be the oracle's,
     # spine pairs included: at (2.0001, 9.99, 10.0) and tmax = 99.9 the
-    # walk meets a node that fails the left cross test alone
+    # walk meets a node in the band below the gate whose left cross
+    # grandchild alone is <= tmax
     cases = [((2.0001, 9.99, 10.0), 2.0 * math.acosh(99.9 / 2.0))]
     for ell, L in ((1e-2, 24.0), (3e-3, 30.0), (0.5, 12.0)):
         cases.append((_triple(TorusPoint(ell, 0.37 * ell)), L))
@@ -387,8 +389,10 @@ def test_close_tallies_both_numbers_in_one_pass():
 
 def _close_reference(grow, L, tmax, th):
     """_close as a loop that stacks every child <= tmax and tests a node for
-    a spine pair only once it takes the node back: no child is closed where
-    it is made, and no leaf is taken on sight."""
+    a spine pair only once it takes the node back, by the rule with cross
+    tests: above max(T_2, sqrt(tmax)) and both its ends, with both cross
+    grandchildren above tmax.  No child is closed where it is made, and no
+    leaf is taken on sight."""
     t2, t3, least = th[-2], th[-3], th[0]
     last = len(th) - 1
     count = n = 0
@@ -459,7 +463,7 @@ def _assert_close_matches_reference(monkeypatch, triple, radii):
 def _slope_tie_radii(triple, L, every, ks):
     # the ties of every `every`-th slope shorter than L, most of them met
     # in phase 2: at k = 1 a child's trace is tmax itself, at k = 2 it is
-    # T_2, above the gate's sqrt(tmax)
+    # T_2, in the band (sqrt(tmax), G] below the gate
     slopes = _kernels.slopes_upto(*triple, L)[::every]
     return [r for t, _, _ in slopes for k in ks for r in _ties(t, k)]
 
@@ -488,8 +492,8 @@ def test_close_matches_the_reference_loop_at_thin_points(monkeypatch):
 
 
 def test_close_matches_the_reference_loop_at_twisted_and_swapped_triples(monkeypatch):
-    # off the Bers box, and off the cusp identity where a node passes every
-    # spine test but one cross test
+    # off the Bers box, and off the cusp identity where a node in the band
+    # below the gate has one cross grandchild <= tmax
     cases = [((2.0001, 9.99, 10.0), [2.0 * math.acosh(99.9 / 2.0)]),
              ((9.99, 2.0001, 10.0), [2.0 * math.acosh(99.9 / 2.0)])]
     for X in (TorusPoint(0.5, 2.2), TorusPoint(0.5, -2.2), TorusPoint(0.05, 0.33)):
@@ -498,6 +502,75 @@ def test_close_matches_the_reference_loop_at_twisted_and_swapped_triples(monkeyp
             cases.append((triple, [2.5, 5.0, 10.0, 12.0] + _slope_tie_radii(triple, 5.0, 3, (1, 2, 3))))
     for triple, radii in cases:
         assert _assert_close_matches_reference(monkeypatch, triple, radii) == {"_count"}
+
+
+# --- the gate --------------------------------------------------------------
+#
+# A phase-2 child c above G, the root of c*c - c = tmax with a margin of
+# 2^-40, is closed by that comparison alone: every cross grandchild below it
+# is at least fl(fl(c*c) - c), which the gate puts above tmax.
+
+
+def test_gate_puts_every_cross_grandchild_above_tmax():
+    # at radii from 0.1 to 1,400, tmax from 2.0025 to about 1e304: just
+    # above G, at seeded floats up to 10^6 G, and at seeded floats up to
+    # 1e308, where c*c passes the float range (c above about 1.3e154)
+    rng = random.Random(26)
+    radii = [0.1 * 14000.0 ** (i / 199) for i in range(200)] + [709.0, 709.8, 710.0, 1000.0]
+    radii += [rng.uniform(0.1, 1400.0) for _ in range(200)]
+    overflowed = 0
+    for L in radii:
+        tmax = _kernels._trace_bound(L)
+        gate = _kernels._gate(tmax)
+        cs = [math.nextafter(gate, math.inf)]
+        cs += [math.nextafter(cs[-1], math.inf) for _ in range(3)]
+        cs += [gate * (1.0 + 10.0 ** rng.uniform(-15.0, 6.0)) for _ in range(40)]
+        cs += [max(cs[0], 10.0 ** rng.uniform(math.log10(gate), 308.0)) for _ in range(20)]
+        for c in cs:
+            assert c > gate and c * c - c > tmax, (L, c)
+        overflowed += sum(math.isinf(c * c) for c in cs)
+        # the margin is small: 2^-35 below G the bound fails
+        c = gate * (1.0 - 2.0**-35)
+        assert not c * c - c > tmax, (L, c)
+    assert overflowed >= 1000, overflowed
+
+
+def _band_children(x, y, z, L):
+    """Nodes the reference walk visits above both their ends, with trace in
+    the band (sqrt(tmax), G] that the walks walk rather than close."""
+    tmax = 2.0 * math.cosh(L / 2.0)
+    low, gate = math.sqrt(tmax), _kernels._gate(tmax)
+    band = 0
+    for zroot in (z, x * y - z):
+        stack = [(x, y, zroot)]
+        while stack:
+            tl, tr, tm = stack.pop()
+            if tm > tmax and tm > tl and tm > tr:
+                continue
+            band += tl < tm and tr < tm and low < tm <= gate
+            stack += [(tl, tm, tl * tm - tr), (tm, tr, tm * tr - tl)]
+    return band
+
+
+def test_pure_walks_match_oracle_at_small_radii_where_the_band_is_wide():
+    # At L = 0.3 to 6 the band (sqrt(tmax), G] is wide against tmax, so
+    # children in it, walked and not closed, occur: 104 on these 1,292
+    # walks of Bers-box points and twisted triples, x and y swapped too
+    rng = random.Random(2026)
+    triples = [_triple(TorusPoint(1.3, 0.475)), _triple(TorusPoint(2 * math.acosh(1.5), 0.0))]
+    for _ in range(24):
+        ell = rng.uniform(0.3, 1.93)
+        triples.append(_triple(TorusPoint(ell, rng.uniform(-ell / 2, ell / 2))))
+    for _ in range(4):
+        ell = rng.uniform(0.05, 1.0)
+        x, y, z = _triple(TorusPoint(ell, rng.uniform(-3.0, 3.0)))
+        triples += [(x, y, z), (y, x, z)]
+    radii = [0.3 + 0.15 * i for i in range(38)]
+    band = 0
+    for triple in triples:
+        _assert_pure_walks_match(triple, radii)
+        band += sum(_band_children(*triple, L) for L in radii)
+    assert band >= 50, band
 
 
 def test_climb_counts_as_a_plain_loop_does():
