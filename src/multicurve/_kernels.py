@@ -86,16 +86,17 @@ s[1:]*s[:-1] - t, kept where <= tmax.  The side children then walk their
 own left spines in lockstep, as float64 arrays of at most 4096 lanes:
 count the lanes, emit the right children that are <= tmax as the next
 generation, step, and drop the lanes above tmax.  A lane set under 64
-goes back to the scalar stack without numpy's set-up.  Past the last
-side child below tmax the spine lies above T_2, and a loop that only steps
-and compares counts it without recording it.  Every trace comes from
-the same IEEE operation on the same operands as in the scalar loop, and a
-child is dropped exactly when the scalar loop drops it, so the nodes
-counted are the scalar walk's.  count_multi reads each trace's k from the
-thresholds T_K..T_1 in one ascending array by searchsorted, and from
-_mult at a trace at or below T_K: both paths share the one rule, and no
-vector acosh enters.  Every other walk runs the scalar loop alone, with
-the thresholds of the number asked for, and keeps nothing.
+goes back to the scalar stack without numpy's set-up.  Once a spine
+passes the gate max(T_2, G), its later side children are above tmax, and
+a loop that only steps and compares counts it without recording it.  Every
+trace comes from the same IEEE operation on the same operands as in the
+scalar loop, and a child is dropped exactly when the scalar loop drops it,
+so the nodes counted are the scalar walk's.  count_multi reads each
+trace's k from the thresholds T_K..T_1 in one ascending array by
+searchsorted, and from _mult at a trace at or below T_K: both paths share
+the one rule, and no vector acosh enters.  Every other walk runs the
+scalar loop alone, with the thresholds of the number asked for, and keeps
+nothing.
 
 numpy is imported inside the functions that build arrays, not with the
 module: importing it takes about 0.11 s, more than the 0.09 s in which a
@@ -680,12 +681,11 @@ def _climb(t, a, s, tmax):
     """Number of traces of the spine s' = t*s - a from s to its last trace
     <= tmax, for a spine whose side children are all above tmax.
 
-    _spine calls it only with s above its cut: tmax, or
-    sqrt(lam*(tmax + t)), which exceeds T_2 = sqrt(tmax + 2) by a relative
-    margin of at least (lam - 1)/2 >= 1e-8, as t >= 2 + 2^-51.  The spine
-    never decreases (see the module docstring), so each trace counted has
-    one multiple.  The loop makes four steps to a pass and compares the
-    fourth trace alone: if it is <= tmax, so are the three before it."""
+    _spine calls it only with a above its cut max(T_2, G), G from _gate,
+    and s >= a.  The spine never decreases (see the module docstring), so
+    each trace counted is above T_2 and has one multiple.  The loop makes
+    four steps to a pass and compares the fourth trace alone: if it is
+    <= tmax, so are the three before it."""
     top = math.nextafter(tmax, math.inf)  # for floats s, s < top iff s <= tmax
     count = 0
     while True:
@@ -720,27 +720,23 @@ def _spine(t, a, s, L, tmax, th):
     the thresholds _floors builds once per spine, at its first recorded
     trace.
 
-    With t > 2 and a < s, as at every phase-2 edge, the spine and its side
-    children never decrease (see the module docstring), so once a side
-    child is above tmax every later one is, and _climb counts the rest of
-    the spine.  A spine s_k = A*lam^k + B*lam^-k with A, B > 0 and
-    lam + 1/lam = t, as every spine is on the cusp identity, has
-    s_(k-1) >= s_k/lam, so its side children die near
-    s = sqrt(lam*(tmax + t)): recording stops there and the side child is
-    tested.  If it is still <= tmax, the spine is
-    recorded to its end.  The test decides where _climb starts, never what
-    is counted."""
-    lam = (t + math.sqrt(t * t - 4.0)) / 2.0
-    cut = min(tmax, math.sqrt(lam * (tmax + t)))
+    Recording stops at the first trace past cut = max(T_2, G), G from
+    _gate, and _climb counts the rest of the spine, whose predecessor a is
+    then above cut.  With t > 2 and a < s, as at every phase-2 edge, the
+    spine never decreases (see the module docstring), so from there on
+    s >= a > G.  And t < G, as t is below the trace of L/_SHORT, whose
+    c*c - c is below tmax; so t < a.  Every later side child is then
+    fl(fl(s*a) - t) >= fl(fl(a*a) - a), which _gate's proof puts above
+    tmax, and every trace _climb counts is above T_2.  Where cut is tmax
+    the spine is recorded to its end."""
+    cut = min(tmax, max(th[-2], _gate(tmax)))
     count = total = 0
     floors = None
     while True:
         # s <= tmax is the next spine node and a its predecessor
-        if s > cut:
-            if s * a - t > tmax:
-                n = _climb(t, a, s, tmax)
-                return count + n, total + n
-            cut = tmax
+        if a > cut:
+            n = _climb(t, a, s, tmax)
+            return count + n, total + n
         seg = [a, s]
         app = seg.append
         # two steps to a loop pass
@@ -755,6 +751,10 @@ def _spine(t, a, s, L, tmax, th):
                 break
             app(s)
         else:
+            a, s = s, t * s - a
+        if cut < s <= tmax:
+            # one trace past cut in this segment, so the next pass climbs
+            app(s)
             a, s = s, t * s - a
         import numpy as np
 

@@ -13,12 +13,17 @@ topological types and integer weights gives the average
 unit-ball volume b_{g,n}, and the joint frequency of a pair is
 (a_{g,n}/b_{g,n}²)·c(γ₁)·c(γ₂).
 
+Only the terms c_e·x^e of V with Σ_i (2e_i + 2) = dim reach the leading
+coefficient, so c(a.γ) = Σ_e C_e · Π_i a_i^-(2e_i+2), with
+C_e = κ·c_e·Π(2e_i+1)!/dim!.  A sum of frequencies over the weights
+[1, cap]^k is then Σ_e C_e times a product of power sums
+Σ_{q≤cap} q^-(2e_i+2), one per cut curve.
+
 Everything here is exact in Q[pi²]; floats appear only in reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,12 +158,6 @@ def piece_volume_product(cut: CutData, table: VolumeTable) -> PiPoly:
 def count_polynomial(cut: CutData, a, kappa, table: VolumeTable) -> PiPoly:
     """P(L, a.γ): exact polynomial in L of degree 6g-6+2n with nonnegative
     coefficients."""
-    return _count_polynomial(cut, a, kappa, piece_volume_product(cut, table))
-
-
-def _count_polynomial(cut: CutData, a, kappa, vol: PiPoly) -> PiPoly:
-    # count_polynomial from the cut's volume product vol, which does not
-    # depend on the weights a: b_from_frequencies builds it once per cut
     kappa = Fraction(kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -166,7 +165,7 @@ def _count_polynomial(cut: CutData, a, kappa, vol: PiPoly) -> PiPoly:
     if len(a) != cut.k:
         raise ValueError("need %d weights" % cut.k)
     out = PiPoly(1)
-    for e2, c in vol.terms.items():
+    for e2, c in piece_volume_product(cut, table).terms.items():
         exps = [2 * v + 1 for v in e2]  # V carries squared variables; x dx adds one
         out = out + simplex_monomial_integral(exps, a) * c
     out = out * PiRat(kappa)
@@ -185,11 +184,11 @@ def frequency(cut: CutData, a, kappa, table: VolumeTable) -> PiRat:
     return poly.coefficient((cut.surface.dim,))
 
 
-# b_from_frequencies' budget: the weight vectors it may sum.  On S11 a
-# weight cost 78 us at cap 600 and 330 us at cap 10^5, as the partial sum's
-# denominator grows; the whole sum took 0.047, 4.2 and 33 s at caps 600,
-# 3*10^4 and 10^5 (2 shared x86-64 vCPUs).  verify sums to cap 100 and
-# the benchmark to 600.
+# b_from_frequencies' budget: the weight vectors a call may sum over.  On
+# S11 the sum took 0.0016, 1.0 and 21 s at caps 600, 3*10^4 and 10^5 (2
+# shared x86-64 vCPUs), nearly all of it in the power sum H(2), whose
+# denominator grows with the cap.  verify sums to cap 100 and the benchmark
+# to 600.
 _WEIGHTS = 10**5
 
 
@@ -202,11 +201,19 @@ def b_from_frequencies(
     """Partial sum of c(a.γ) over the given topological types and all
     integer weight vectors with entries <= cap, plus a rigorous tail bound.
 
-    types: iterable of (CutData, kappa).  The tail uses the weight-scaling
-    bound c(a.γ) <= c(1.γ)·prod 1/a_i² together with
-    sum_{a not in [1..cap]^k} prod 1/a_i² <= k·ζ(2)^(k-1)/cap.
+    types: iterable of (CutData, kappa).  Each frequency is
+    c(a.γ) = sum_e C_e · prod_i a_i^-s_i, over the terms c_e·x^e of the
+    cut's volume product V whose degree sum s_i, with s_i = 2e_i + 2, is dim.
+    C_e = κ·c_e·prod (2e_i + 1)!/dim! is κ·c_e times the L^dim coefficient
+    of simplex_monomial_integral(2e + 1, [1]*k); lower terms never reach
+    the leading coefficient.  So the sum over [1, cap]^k factors into exact
+    power sums, sum_e C_e · prod_i H(s_i) with H(s) = sum_{q <= cap} 1/q^s,
+    and costs no frequency per weight vector.
 
-    Raises ArithmeticError, before any weight is summed, where the types
+    The tail uses the weight-scaling bound c(a.γ) <= c(1.γ)·prod 1/a_i²
+    together with sum_{a not in [1..cap]^k} prod 1/a_i² <= k·ζ(2)^(k-1)/cap.
+
+    Raises ArithmeticError, before anything is summed, where the types
     hold more than _WEIGHTS weight vectors cap^k in all.
     """
     if cap < 1:
@@ -223,12 +230,15 @@ def b_from_frequencies(
     for cut, kappa in types:
         if cut.surface != surface:
             raise ValueError("cut %r does not live on %s" % (cut, surface.name))
-        k = cut.k
-        vol = piece_volume_product(cut, table)
-        for a in itertools.product(range(1, cap + 1), repeat=k):
-            partial = partial + _count_polynomial(cut, a, kappa, vol).coefficient((cut.surface.dim,))
-        c_one = float(frequency(cut, [1] * k, kappa, table))
-        tail += c_one * k * zeta2f ** (k - 1) / cap
+        k, dim = cut.k, cut.surface.dim
+        c_one = frequency(cut, [1] * k, kappa, table)
+        for e, c in piece_volume_product(cut, table).terms.items():
+            # zero unless the term's degree sum(2e_i + 2) is dim
+            unit = simplex_monomial_integral([2 * v + 1 for v in e], [1] * k).coefficient((dim,))
+            if unit:
+                h = math.prod(sum(Fraction(1, q ** (2 * v + 2)) for q in range(1, cap + 1)) for v in e)
+                partial = partial + unit * c * PiRat(Fraction(kappa) * h)
+        tail += float(c_one) * k * zeta2f ** (k - 1) / cap
     return partial, tail
 
 

@@ -188,12 +188,13 @@ def test_freq_sums_print_every_digit_past_the_str_limit(capsys):
     # and both commands exited 2 on that valid input.  They now lift the
     # limit around their own str calls and restore it: on each side of the
     # old limits the value printed is the exact sum, and outside the
-    # commands the limit holds
+    # commands the limit holds.  The sums are written out here, not taken
+    # from b_from_frequencies, which the commands themselves call: S11's
+    # κ/2·Σ_{q<=cap} 1/q², and its joint a·S²/b² with b = κπ²/12
     limit = sys.get_int_max_str_digits()
     assert limit
-    cut, kappa = cli._builtin_cut("S11")
-    table = volume_table_load(None)
-    a, b = frequencies.PiRat(Fraction(9, 20)), frequencies.b_closed_form_s11(kappa)
+    _, kappa = cli._builtin_cut("S11")
+    a, b = frequencies.PiRat(Fraction(9, 20)), frequencies.PiRat.pi2(1, Fraction(kappa) / 12)
     cases = [(["freq", "sum-b", "--surface", "S11"], "partial", cap) for cap in (4500, 5000)]
     cases += [(["freq", "joint", "--q1", "1", "--q2", "2", "--a", "9/20"], "identity_partial", cap)
               for cap in (2400, 2600)]
@@ -201,9 +202,9 @@ def test_freq_sums_print_every_digit_past_the_str_limit(capsys):
     for argv, key, cap in cases:
         doc = run_json(capsys, argv + ["--cap", str(cap)])
         assert sys.get_int_max_str_digits() == limit
-        value, _ = frequencies.b_from_frequencies(cut.surface, [(cut, kappa)], table, cap)
+        value = frequencies.PiRat(Fraction(kappa) / 2 * sum(Fraction(1, q * q) for q in range(1, cap + 1)))
         if key == "identity_partial":
-            value = frequencies.joint_frequency(value, value, a, b)
+            value = a * value * value / (b * b)
         sys.set_int_max_str_digits(0)
         try:
             assert doc[key] == str(value), (argv, cap)

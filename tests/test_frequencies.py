@@ -1,6 +1,7 @@
 """Counting polynomials, frequencies, the average unit-ball volume, and the
 joint-frequency identity, all in exact arithmetic."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,6 +12,7 @@ from scipy import integrate
 from multicurve.exactpoly import PiPoly, PiRat
 from multicurve.frequencies import (
     BUILTIN_CUTS,
+    ZETA2,
     CutData,
     FrequencyReport,
     b_closed_form_s11,
@@ -220,6 +222,83 @@ def test_b_from_frequencies_raises_above_its_budget_before_summing():
     # the types are read once, so a generator serves as a list does
     listed = b_from_frequencies(SurfaceType(1, 1), [(s11, 1)], TABLE, 10)
     assert b_from_frequencies(SurfaceType(1, 1), ((c, k) for c, k in [(s11, 1)]), TABLE, 10) == listed
+
+
+def s12_two_cut():
+    # cut the twice-punctured torus along two curves into two pants, each
+    # with one cusp: V = 1, so every frequency is κ/(24·a_1²·a_2²)
+    pants = (SurfaceType(0, 3), (1, 2, CUSP))
+    return CutData(SurfaceType(1, 2), 2, (pants, pants))
+
+
+def _by_weight(surface, types, cap):
+    # the definition: one counting polynomial per weight vector, and the
+    # tail bound c(1.γ)·k·ζ(2)^(k-1)/cap per type
+    partial, tail = PiRat(0), 0.0
+    for cut, kappa in types:
+        for a in itertools.product(range(1, cap + 1), repeat=cut.k):
+            partial = partial + count_polynomial(cut, a, kappa, TABLE).coefficient((surface.dim,))
+        c_one = float(frequency(cut, [1] * cut.k, kappa, TABLE))
+        tail += c_one * cut.k * float(ZETA2) ** (cut.k - 1) / cap
+    return partial, tail
+
+
+def _assert_sums_as_defined(surface, types, cap):
+    got = b_from_frequencies(surface, types, TABLE, cap)
+    want = _by_weight(surface, types, cap)
+    assert got == want, (types, cap)
+    assert str(got[0]) == str(want[0]) and got[1].hex() == want[1].hex()
+
+
+@pytest.mark.parametrize("cut", [cut_nonseparating_s11(), cut_separating_s04()])
+def test_b_from_frequencies_sums_each_weight_as_defined(cut):
+    for cap in list(range(1, 61)) + [100, 600]:
+        _assert_sums_as_defined(cut.surface, [(cut, 1)], cap)
+    _assert_sums_as_defined(cut.surface, [(cut, Fraction(3, 4)), (cut, 2)], 17)
+
+
+def test_b_from_frequencies_keeps_the_leading_terms_alone():
+    # V(0,4)(x, x, 0, 0) = 2π² + x, x the squared length: the constant
+    # term reaches only L², so the sum is κ/4·Σ 1/q⁴ with no π² in it
+    s12 = SurfaceType(1, 2)
+    one, two = s12_one_cut(), s12_two_cut()
+    for kappa in (1, Fraction(3, 4)):
+        for cap in (1, 2, 3, 10, 60):
+            _assert_sums_as_defined(s12, [(one, kappa)], cap)
+            partial, _ = b_from_frequencies(s12, [(one, kappa)], TABLE, cap)
+            assert partial == PiRat(Fraction(kappa) / 4 * sum(Fraction(1, q**4) for q in range(1, cap + 1)))
+        # two cut curves: the sum over [1, cap]^2 is a product of two sums
+        for cap in (1, 2, 5, 12):
+            _assert_sums_as_defined(s12, [(two, kappa)], cap)
+            h = sum(Fraction(1, q * q) for q in range(1, cap + 1))
+            assert b_from_frequencies(s12, [(two, kappa)], TABLE, cap)[0] == PiRat(Fraction(kappa) / 24 * h * h)
+        _assert_sums_as_defined(s12, [(one, kappa), (two, Fraction(5, 3))], 7)
+
+
+def test_b_from_frequencies_factors_unequal_powers():
+    # S13 cut along two curves into a four-holed sphere and a pair of
+    # pants: V = 2π² + (x_1 + x_2)/2, whose two degree-6 terms each give
+    # κ/240·H(4)·H(2), with the powers on different curves
+    pieces = ((SurfaceType(0, 4), (1, 2, CUSP, CUSP)), (SurfaceType(0, 3), (1, 2, CUSP)))
+    cut = CutData(SurfaceType(1, 3), 2, pieces)
+    for cap in (1, 2, 5, 9):
+        _assert_sums_as_defined(cut.surface, [(cut, Fraction(3, 4))], cap)
+        h2, h4 = (sum(Fraction(1, q**s) for q in range(1, cap + 1)) for s in (2, 4))
+        partial, _ = b_from_frequencies(cut.surface, [(cut, Fraction(3, 4))], TABLE, cap)
+        assert partial == PiRat(Fraction(3, 4) / 120 * h2 * h4)
+
+
+def test_b_from_frequencies_refuses_a_nonpositive_kappa_before_summing():
+    # c(1.γ) is taken before the sum, so the error comes at once even at
+    # the largest cap the budget admits
+    from multicurve.frequencies import _WEIGHTS
+
+    s11 = cut_nonseparating_s11()
+    for kappa in (0, -1, Fraction(-3, 4)):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            b_from_frequencies(SurfaceType(1, 1), [(s11, kappa)], TABLE, _WEIGHTS)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            b_from_frequencies(SurfaceType(1, 2), [(s12_two_cut(), 1), (s12_one_cut(), kappa)], TABLE, 5)
 
 
 def test_b_closed_form_s11():

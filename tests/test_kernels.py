@@ -362,6 +362,23 @@ def test_short_spine_segments_take_the_array_path(monkeypatch):
     _assert_counts_match(triple, [25.0])
 
 
+def test_array_path_records_a_first_spine_node_past_the_gate(monkeypatch):
+    # twisted thin points whose phase-2 edge (x, y, z) has its mediant z
+    # above the gate max(T_2, G) and its other end y below it, at a bound
+    # between z*y - x and z*z - z: z's side child is <= tmax, so the spine
+    # is recorded there, and _climb waits until the predecessor passes the
+    # gate
+    calls = _spy(monkeypatch, "_spine")
+    for tau in (1.0, 1.5, 3.0):
+        x, y, z = triple = _triple(TorusPoint(1e-2, tau))
+        L = 2.0 * math.acosh((z * y - x + z * z - z) / 4.0)
+        calls["_spine"].clear()
+        _assert_counts_match(triple, [L])
+        t, a, s, _, tmax, th = calls["_spine"][0]
+        assert (t, a, s) == (x, y, z)
+        assert a <= max(th[-2], _kernels._gate(tmax)) < s <= tmax and s * a - t <= tmax
+
+
 def test_close_tallies_both_numbers_in_one_pass():
     # the scalar loop tallies the count beside the sum: thick walks read
     # the sum under count_upto's cuts at 2 or count_multi's thresholds,
