@@ -473,9 +473,9 @@ def _parse_functional_torus(text: str):
         return lambda X: 1.0
     lmax = torus.BHAT_LMAX
     if text == "B":
-        return lambda X: torus.b_hat(X, lmax)
+        return lambda X: torus.count_b(X, lmax) / lmax**2
     if text == "B2":
-        return lambda X: torus.b_hat(X, lmax) ** 2
+        return lambda X: (torus.count_b(X, lmax) / lmax**2) ** 2
     if text.startswith("ss:"):
         parts = text[3:].split(":")
         if len(parts) != 2:

@@ -254,15 +254,14 @@ def joint_frequency(c1, c2, a, b) -> PiRat:
     return a * c1 * c2 / (b * b)
 
 
-def calibrate_kappa(cut: CutData, a, table: VolumeTable, counting_oracle, L: float):
-    """Estimate κ from a Monte Carlo oracle for the moduli average of the
+def calibrate_kappa(cut: CutData, a, table: VolumeTable, result, L: float):
+    """Estimate κ from a Monte Carlo estimate of the moduli average of the
     counting function at cutoff L.
 
-    counting_oracle(L) must return an object with .estimate and .stderr
-    fields for ∫ s(X, a.γ, L).  The ratio against the κ = 1 polynomial is
-    rounded to a small-denominator rational when the oracle error allows.
+    result must have .estimate and .stderr fields for ∫ s(X, a.γ, L).  The
+    ratio against the κ = 1 polynomial is rounded to a small-denominator
+    rational when the Monte Carlo error allows.
     """
-    result = counting_oracle(L)
     denom = count_polynomial(cut, a, 1, table).evaluate_float([L])
     if denom <= 0:
         raise ValueError("degenerate unfolding integral at L = %r" % L)

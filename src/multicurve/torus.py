@@ -50,8 +50,11 @@ from .wpcells import MCResult, _rng, mc_result
 
 BERS_11 = TORUS_MAX_SYSTOLE
 LENGTH_TIE_TOL = 1e-9
-# top of the b_hat ladder: the unit-ball estimate verify and `torus mc`'s
-# B and B2 functionals use, and the one the verify tolerances were tuned at
+# the radius at which verify and `torus mc`'s B and B2 functionals read the
+# unit-ball volume as count_b(X, L)/L², where the verify tolerances were
+# tuned; moduli-chain's b integral, exact at every radius, runs at a smaller
+# one.  No command or check calls the b_hat ladder: it stays only for
+# perfbench's moduli-mc workload (ROADMAP item 1)
 BHAT_LMAX = 80.0
 # the one thread whose enumerate_short_slopes calls pause the collector
 _MAIN_THREAD = threading.main_thread().ident
@@ -203,23 +206,19 @@ def count_b(X: TorusPoint, L: float) -> int:
 
 def estimate_B(X: TorusPoint, Lmax: float) -> list:
     """Ladder of normalized counts count_b(L)/L² at L = Lmax/4, Lmax/2 and
-    Lmax; the last entry is the working estimate of the unit-ball volume at
-    X, and the last two give convergence_diagnostic its doubling."""
+    Lmax.  No command or check calls it: they read B(X) as
+    count_b(X, L)/L² in one walk.  It stays only for perfbench's moduli-mc
+    workload, which pins its three walks until ROADMAP item 1."""
     if Lmax < 10:
         raise ValueError("Lmax must be at least 10")
     return [(L, count_b(X, L) / L**2) for L in (Lmax / 4, Lmax / 2, Lmax)]
 
 
 def b_hat(X: TorusPoint, Lmax: float) -> float:
+    """The ladder's top rung, count_b(X, Lmax)/Lmax², after walking the two
+    below it.  Kept only for perfbench's moduli-mc workload (ROADMAP
+    item 1); no command or check calls it."""
     return estimate_B(X, Lmax)[-1][1]
-
-
-def convergence_diagnostic(ladder: list) -> float:
-    """Relative change over the last doubling of the ladder."""
-    (_, prev), (_, last) = ladder[-2], ladder[-1]
-    if last == 0:
-        return math.inf
-    return abs(last - prev) / last
 
 
 def systole_slope(X: TorusPoint) -> tuple:

@@ -33,7 +33,6 @@ _THIN_STREAM = 0x7819  # Philox stream for the deliberate thin samples
 # sizes two checks share
 CELL_SAMPLES = 100000  # MC draws per Weil-Petersson cell
 MODULI_SAMPLES = 8000  # draws for mc_moduli of 1, Bhat, count_s
-RATIO_L = 80.0  # counting radius of the kappa and count-ratio estimates
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def check_sandwich(cfg: RunConfig):
     lo_ratio, hi_ratio, violations = math.inf, 0.0, 0
     for X in pts:
         F = bounds.f_value(FNPoint((X.ell,), (X.tau,)), EPSILON)
-        B = torus.b_hat(X, torus.BHAT_LMAX)
+        B = torus.count_b(X, torus.BHAT_LMAX) / torus.BHAT_LMAX**2
         r = B / F
         lo_ratio, hi_ratio = min(lo_ratio, r), max(hi_ratio, r)
         if not (C1 * F <= B <= C2 * F):
@@ -219,11 +218,11 @@ def check_sandwich(cfg: RunConfig):
 def check_counting_asymptotics(cfg: RunConfig):
     """count_s(X,1,L)/L² ~ c(γ)/b · B(X) with hatted inputs."""
     t0 = time.monotonic()
-    L = RATIO_L
+    L = 80.0  # counting radius of the per-point ratio
     lmax = torus.BHAT_LMAX
     n = MODULI_SAMPLES
     points = 10
-    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 1).estimate
+    bhat = torus.mc_moduli(lambda X: torus.count_b(X, lmax) / lmax**2, n, cfg.seed + 1).estimate
     integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2).estimate
     khat = integral / (L * L / 2.0)
     chat = khat / 2.0
@@ -231,7 +230,8 @@ def check_counting_asymptotics(cfg: RunConfig):
     worst = 0.0
     for l, t in zip(ells.tolist(), taus.tolist()):
         X = torus.TorusPoint(l, t)
-        ratio = (torus.count_s(X, 1, L) / L**2) * bhat / (chat * torus.b_hat(X, lmax))
+        B = torus.count_b(X, lmax) / lmax**2
+        ratio = (torus.count_s(X, 1, L) / L**2) * bhat / (chat * B)
         worst = max(worst, abs(ratio - 1.0))
     elapsed = time.monotonic() - t0
     ok = worst <= 0.1 and elapsed <= 600.0
@@ -330,7 +330,17 @@ def check_frequency_exactness(cfg: RunConfig):
 
 @_check("moduli-chain")
 def check_moduli_chain(cfg: RunConfig):
-    """Volume, b, a and the joint product, all from the torus backend."""
+    """Volume, b, a and the joint product, all from the torus backend.
+
+    Mirzakhani's integration formula makes (ii) exact at every radius: the
+    moduli integral of count_s(X, 1, L) is the counting polynomial κL²/2,
+    and since count_b(X, L) sums count_s(X, 1, L/k) over k >= 1,
+    ∫count_b(X, L)/L² dX = κζ(2)/2 = b, for every L > 0 and not only as
+    L -> ∞.  So a small radius tests the same identity as a large one, in
+    far shallower walks; the Monte Carlo error comes from the spread of
+    the counts over moduli space, not from L.  The second moment (iii) and
+    the joint product (iv) are limits as L -> ∞ and keep their large radii.
+    """
     table = volume_table_load(cfg.volume_table)
     cut = frequencies.cut_nonseparating_s11()
     kappa = frequencies.KAPPA["S11"]
@@ -345,26 +355,26 @@ def check_moduli_chain(cfg: RunConfig):
     vol_ok = vol_dev <= 3.0
     parts.append("vol dev %s sigma" % _fmt(vol_dev))
 
-    # (ii) kappa stability and the b integral
-    L = RATIO_L
-    counts = {
-        LL: torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6)
+    # (ii) kappa stability and the b integral, exact at every radius
+    L = 10.0
+    counts = [
+        torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6)
         for LL in (L, 2 * L)
-    }
-    khats = [counts[LL].estimate / (LL * LL / 2.0) for LL in (L, 2 * L)]
+    ]
+    khats = [r.estimate / (LL * LL / 2.0) for r, LL in zip(counts, (L, 2 * L))]
     k_stab = abs(khats[1] - khats[0]) / khats[0]
-    # the oracle's run at L is the one made for khats[0]
-    snapped = frequencies.calibrate_kappa(cut, [1], table, lambda LL: counts[LL], L)
+    snapped = frequencies.calibrate_kappa(cut, [1], table, counts[0], L)
     b_target = float(frequencies.b_closed_form_s11(kappa))
-    bhat = torus.mc_moduli(lambda X: torus.b_hat(X, lmax), n, cfg.seed + 7).estimate
+    bhat = torus.mc_moduli(lambda X: torus.count_b(X, L) / L**2, n, cfg.seed + 7).estimate
     b_dev = abs(bhat / b_target - 1.0)
     b_ok = k_stab <= 0.05 and snapped == kappa and b_dev <= 0.10
     parts.append("khat stab %s, b rel dev %s" % (_fmt(k_stab), _fmt(b_dev)))
 
     # (iii) the second moment, stable under sample doubling
     m = 20000  # draws for the heavy-tailed Bhat^2 moment
-    a1 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, m, cfg.seed + 8).estimate
-    a2 = torus.mc_moduli(lambda X: torus.b_hat(X, lmax) ** 2, 2 * m, cfg.seed + 8).estimate
+    B2 = lambda X: (torus.count_b(X, lmax) / lmax**2) ** 2
+    a1 = torus.mc_moduli(B2, m, cfg.seed + 8).estimate
+    a2 = torus.mc_moduli(B2, 2 * m, cfg.seed + 8).estimate
     ahat = (a1 + a2) / 2.0
     a_cov = abs(a2 - a1) / (math.sqrt(2.0) * ahat)
     a_ok = a_cov <= 0.10
@@ -396,7 +406,7 @@ def check_moduli_chain(cfg: RunConfig):
 def check_determinism(cfg: RunConfig):
     """Reruns on the same seed never change a result bit."""
     n = 2000
-    f = lambda X: torus.b_hat(X, 40.0)
+    f = lambda X: torus.count_b(X, 40.0) / 40.0**2
     m1 = torus.mc_moduli(f, n, cfg.seed)
     m2 = torus.mc_moduli(f, n, cfg.seed)
     moduli_ok = (m1.estimate, m1.stderr) == (m2.estimate, m2.stderr)

@@ -305,6 +305,27 @@ def test_torus_mc_seed_override(capsys):
     assert doc["result"]["estimate"] == pytest.approx(math.pi**2 / 6, rel=0.2)
 
 
+@pytest.mark.parametrize("name, power", [("B", 1), ("B2", 2)])
+def test_torus_mc_b_walks_once_per_point(monkeypatch, name, power):
+    # B reads count_b(X, L)/L² in one walk: b_hat's top rung, without the
+    # two rungs below it
+    from multicurve import _kernels, torus
+
+    points = [torus.TorusPoint(ell, 0.3 * ell) for ell in (1e-2, 0.5, 1.5)]
+    expected = [torus.b_hat(X, torus.BHAT_LMAX) ** power for X in points]
+    calls = []
+    count_multi = _kernels.count_multi
+
+    def counted(*args):
+        calls.append(args)
+        return count_multi(*args)
+
+    monkeypatch.setattr(_kernels, "count_multi", counted)
+    functional = cli._parse_functional_torus(name)
+    assert [functional(X) for X in points] == expected
+    assert len(calls) == len(points)
+
+
 def test_reruns_are_byte_identical(capsys):
     argv = ["torus", "mc", "--functional", "one", "--samples", "100"]
     assert cli.main(argv) == 0

@@ -354,15 +354,12 @@ class FakeOracle:
     estimate: float
     stderr: float
 
-    def __call__(self, L):
-        return self
-
 
 def test_calibrate_kappa_snaps_to_rational():
     cut = cut_nonseparating_s11()
     L = 10.0
     denom = count_polynomial(cut, [1], 1, TABLE).evaluate_float([L])
-    # oracle agreeing with κ = 1 exactly
+    # an estimate agreeing with κ = 1 exactly
     assert calibrate_kappa(cut, [1], TABLE, FakeOracle(denom, 0.01 * denom), L) == 1
     # κ = 3/4 with small noise still snaps
     noisy = FakeOracle(0.75 * denom * 1.002, 0.01 * denom)

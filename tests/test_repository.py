@@ -15,8 +15,6 @@ SRC = ROOT / "src" / "multicurve"
 KEEP = {
     "in_lambda": "semigroup membership oracle of the lattice-ball tests and "
     "their exact-rational brute force",
-    "convergence_diagnostic": "the b_hat ladder diagnostic, kept until verify "
-    "decides whether it still reads the ladder (ROADMAP items 6, 7 and 9)",
 }
 
 

@@ -22,7 +22,6 @@ from multicurve.torus import (
     TorusPoint,
     _systole_weight,
     b_hat,
-    convergence_diagnostic,
     count_b,
     count_s,
     enumerate_short_slopes,
@@ -461,12 +460,16 @@ def test_b_hat_frozen_and_converging():
     assert abs(b_hat(SYM, 80.0) - b_hat(SYM, 40.0)) < 0.1 * b_hat(SYM, 80.0)
 
 
-def test_convergence_diagnostic():
-    ladder = estimate_B(SYM, 80.0)
-    assert [L for L, _ in ladder[-2:]] == [40.0, 80.0]
-    diag = convergence_diagnostic(ladder)
-    assert 0 <= diag < 0.1
-    assert convergence_diagnostic([(1.0, 0.5), (2.0, 0.0)]) == math.inf
+def test_one_walk_reads_b_hat():
+    # verify and `torus mc` read B(X) as count_b(X, L)/L², b_hat's top rung
+    # without the two walks below it: the same float, in the Bers box and
+    # at thin points
+    ells, taus = sample_bers_box(20, SEED)
+    points = [TorusPoint(l, t) for l, t in zip(ells.tolist(), taus.tolist())]
+    points += [TorusPoint(ell, 0.37 * ell) for ell in (1e-3, 1e-2)]
+    for X in points:
+        for L in (40.0, 80.0):
+            assert count_b(X, L) / L**2 == b_hat(X, L), (X, L)
 
 
 def test_systole_slope():
