@@ -8,16 +8,17 @@ admissible m_N as a range(start, stop, step): stop by the same cost test
 as every other cuff, step 2 when a parity mask holds cuff N, and the start
 from the prefix's parity.  ball_m_vectors iterates those ranges, and
 dtlattice.enumerate_ball lists the twists of each m-vector with
-ball_t_vectors.  count_ball evaluates the same ranges as numpy arrays and
-counts the twist vectors of every budget with _tcounts, by the same float
-operations in the same order as the scalar rule below: numpy's + - * / and
-floor are the correctly rounded IEEE operations Python's are, and the
-integers involved convert to float exactly, so counts are bit for bit those
-of a scalar walk.  A pass of numpy work holds at most _PASS_TERMS rows or
-expanded terms whatever the radius, so memory stays bounded.  Integer sums
-run in int64 within a pass and in Python ints across passes; a twist bound
-floor(b / l_i) too large for int64 arithmetic raises ArithmeticError rather
-than wrap.
+ball_t_vectors.  count_ball reads the prefixes in batches of at most
+_PASS_TERMS and counts the twist vectors of every budget with _tcounts, by
+the same float operations in the same order as the scalar rule below:
+numpy's + - * / and floor are the correctly rounded IEEE operations
+Python's are, and the integers involved convert to float exactly, so counts
+are bit for bit those of a scalar walk.  One splitter, _chunks, expands the
+m_N ranges and then each cuff's twists into numpy passes of at most
+_PASS_TERMS terms, so memory stays bounded whatever the radius.  Integer
+sums run in int64 within a pass and in Python ints across passes; a twist
+bound floor(b / l_i) too large for int64 arithmetic raises ArithmeticError
+rather than wrap.
 
 At a NaN or infinite radius the lattice-ball kernels raise ValueError and
 the tree walks raise ArithmeticError: such a ball never ends, and such a
@@ -128,10 +129,11 @@ BACKEND = "pure"
 # them, in lexicographic order of (m_1..m_N), then of (t_1..t_N).
 # ---------------------------------------------------------------------------
 
-# Most rows (budgets) or expanded twist terms one numpy pass of count_ball
-# holds, so that its memory does not grow with the radius.  With unbounded
-# passes the closed-forms benchmark peaked at 58.5 MB against 50.6 MB for
-# the scalar walk; at this size it peaks at 51.5 MB, no slower.
+# Most prefixes count_ball reads from _walk in one batch, and most terms,
+# m-vectors or twists, one numpy pass of _chunks holds, so that memory does
+# not grow with the radius.  With unbounded passes the closed-forms
+# benchmark peaked at 58.5 MB against 50.6 MB for the scalar walk; at this
+# size it peaks at 51.5 MB, no slower.
 _PASS_TERMS = 1 << 15
 # count_ball's budget: the m-vectors a ball may hold, bounded before the
 # walk by prod(floor(L / w_i) + 1).  A walk that size takes about 6 s on
@@ -227,25 +229,28 @@ def ball_m_vectors(ws, masks, L):
 
 
 def _chunks(counts):
-    """(rep, t) pairs covering t = 0..counts[r]-1 for every row r, at most
-    _PASS_TERMS terms each: rep is the row of each term and t its twist."""
+    """(rows, c, t) triples covering t = 0..counts[r]-1 for every row r, at
+    most _PASS_TERMS terms each: a pass holds c[j] terms of row rows[j], in
+    row order, and t is the twist of each term."""
     import numpy as np
 
-    small = np.flatnonzero(counts <= _PASS_TERMS)
+    large = counts > _PASS_TERMS
+    small = (~large).nonzero()[0]
     c = counts[small]
-    cs = np.cumsum(c)  # at most _PASS_TERMS^2: no overflow
+    cs = c.cumsum()  # at most _PASS_TERMS^2: no overflow
     start, base = 0, 0
     while start < len(cs):
-        end = int(np.searchsorted(cs, base + _PASS_TERMS, "right"))
+        end = int(cs.searchsorted(base + _PASS_TERMS, "right"))
         ce = c[start:end]
-        rep = np.repeat(small[start:end], ce)
-        t = np.arange(len(rep)) - np.repeat(cs[start:end] - ce - base, ce)
-        yield rep, t
+        t = np.arange(int(cs[end - 1]) - base)
+        if end - start > 1:  # one row's twists are the arange itself
+            t = t - (cs[start:end] - ce - base).repeat(ce)
+        yield small[start:end], ce, t
         base, start = int(cs[end - 1]), end
-    for r in np.flatnonzero(counts > _PASS_TERMS):
+    for r in large.nonzero()[0]:
         for t0 in range(0, int(counts[r]), _PASS_TERMS):
             t = np.arange(t0, min(t0 + _PASS_TERMS, int(counts[r])))
-            yield np.full(len(t), r), t
+            yield np.array([r]), np.array([len(t)]), t
 
 
 def _tcounts(ls, b, wt, nz, i=0):
@@ -276,23 +281,10 @@ def _tcounts(ls, b, wt, nz, i=0):
             return int(leaves.sum())
         return sum(leaves.tolist())  # Python ints: a pass sum past int64
     total = 0
-    for rep, t in _chunks(k + 1):
+    for rows, c, t in _chunks(k + 1):
+        rep = np.repeat(rows, c)
         total += _tcounts(ls, b[rep] - t * ls[i], wt[rep] << ((t > 0) & doubled[rep]), nz[rep], i + 1)
     return total
-
-
-def _count_rows(pieces, step, L, w, ls):
-    """Twist-vector count of the m-vectors in pieces, (cost, start, count,
-    nz) slices of a prefix's m_N range with the prefix's cost and nonzero
-    bits, by _tcounts on the budgets L - (cost + m_N w)."""
-    import numpy as np
-
-    cost, start, count, nz = (np.array(col) for col in zip(*pieces))
-    rows = np.arange(int(count.sum()))
-    ms = np.repeat(start - step * (np.cumsum(count) - count), count) + step * rows
-    b = L - (np.repeat(cost, count) + ms * w)
-    nz = np.repeat(nz, count) | (ms != 0) << (len(ls) - 1)
-    return _tcounts(ls, b, np.ones(len(b), np.int64), nz)
 
 
 def count_ball(ws, ls, masks, L):
@@ -308,23 +300,25 @@ def count_ball(ws, ls, masks, L):
         raise ArithmeticError(
             "a ball of radius %r may hold up to %.4g m-vectors, above the budget of %.4g"
             % (L, bound, _BALL_ROWS))
-    w = ws[-1]
+    from itertools import islice
+
+    import numpy as np
+
+    w, last = ws[-1], len(ws) - 1
+    walk = _walk(ws, masks, L)
     total = 0
-    pieces, rows = [], 0
-    for prefix, cost, ms in _walk(ws, masks, L):
-        nz = sum(1 << i for i, mi in enumerate(prefix) if mi)
-        start, left = ms.start, len(ms)
-        while left:
-            take = min(left, _PASS_TERMS - rows)
-            pieces.append((cost, start, take, nz))
-            rows += take
-            left -= take
-            start += take * ms.step
-            if rows == _PASS_TERMS:
-                total += _count_rows(pieces, ms.step, L, w, ls)
-                pieces, rows = [], 0
-    if pieces:
-        total += _count_rows(pieces, ms.step, L, w, ls)
+    while batch := list(islice(walk, _PASS_TERMS)):
+        cost, start, count, nz = (np.array(col) for col in zip(*(
+            (mcost, ms.start, len(ms), sum(1 << i for i, mi in enumerate(prefix) if mi))
+            for prefix, mcost, ms in batch)))
+        step = batch[0][2].step  # every range has the same
+        for rows, c, t in _chunks(count):
+            # a pass of one prefix, as at N = 1, broadcasts its values
+            cost_t, start_t, nz_t = (x[rows] if len(rows) == 1 else np.repeat(x[rows], c)
+                                     for x in (cost, start, nz))
+            ms = start_t + step * t
+            b = L - (cost_t + ms * w)
+            total += _tcounts(ls, b, np.ones(len(b), np.int64), nz_t | (ms != 0) << last)
     return total - 1  # remove the zero point, always admissible and in the ball
 
 

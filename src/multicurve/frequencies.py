@@ -260,7 +260,8 @@ def calibrate_kappa(cut: CutData, a, table: VolumeTable, result, L: float):
 
     result must have .estimate and .stderr fields for ∫ s(X, a.γ, L).  The
     ratio against the κ = 1 polynomial is rounded to a small-denominator
-    rational when the Monte Carlo error allows.
+    rational: the nearest p/q with q <= 16, which must be positive and lie
+    within 3 stderr of the ratio, else ValueError.
     """
     denom = count_polynomial(cut, a, 1, table).evaluate_float([L])
     if denom <= 0:
@@ -268,10 +269,13 @@ def calibrate_kappa(cut: CutData, a, table: VolumeTable, result, L: float):
     khat = result.estimate / denom
     err = result.stderr / denom
     rounded = Fraction(khat).limit_denominator(16)
-    if abs(float(rounded) - khat) <= 3 * err and rounded > 0:
+    gap = abs(float(rounded) - khat)
+    if gap <= 3 * err and rounded > 0:
         return rounded
     raise ValueError(
-        "oracle variance too large to round kappa: khat=%.6g err=%.2g" % (khat, err)
+        "kappa does not round: khat=%.6g lies %.2g from %s, the nearest p/q with q <= 16, "
+        "against 3 stderr = %.2g; it must lie within that of a positive p/q"
+        % (khat, gap, rounded, 3 * err)
     )
 
 

@@ -157,12 +157,11 @@ class FNPoint:
                 yield point
 
 
-def thin_cuffs(fn, eps: float) -> set[int]:
+def thin_cuffs(fn: FNPoint, eps: float) -> set[int]:
     """Indices (1-based) of cuffs with length <= eps; closed inequality."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lengths = fn.lengths if isinstance(fn, FNPoint) else fn
-    return {i + 1 for i, ell in enumerate(lengths) if ell <= eps}
+    return {i + 1 for i, ell in enumerate(fn.lengths) if ell <= eps}
 
 
 @dataclass(frozen=True)

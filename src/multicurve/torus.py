@@ -135,22 +135,22 @@ def fn_to_triple(X: TorusPoint) -> FrickeTriple:
 
 
 def slope_trace(X: TorusPoint, s: Slope) -> float:
+    """Trace of the slope s at X.  A trace outside (2, inf) raises
+    ArithmeticError, as in the walks: deep slopes (e.g. Fibonacci ones)
+    overflow the trace recursion, which then turns inf - inf into NaN, and
+    far out in the moduli space the recursion can cancel to 2 or below."""
     tr = fn_to_triple(X)
     trace = _kernels.trace_of_slope(tr.x, tr.y, tr.z, s.p, s.q)
-    if not math.isfinite(trace):
-        # deep slopes (e.g. Fibonacci ones) overflow the trace recursion,
-        # which then turns inf - inf into NaN
+    if not 2.0 < trace < math.inf:
         raise ArithmeticError(
-            "trace of slope %s overflows at ell=%r tau=%r" % (s, X.ell, X.tau)
+            "trace of slope %s overflows or is at most 2 (got %r) at ell=%r tau=%r"
+            % (s, trace, X.ell, X.tau)
         )
     return trace
 
 
 def slope_length(X: TorusPoint, s: Slope) -> float:
-    trace = slope_trace(X, s)
-    if trace <= 2:
-        raise ValueError("slope %s has trace %r <= 2: not a hyperbolic point" % (s, trace))
-    return 2.0 * math.acosh(trace / 2.0)
+    return 2.0 * math.acosh(slope_trace(X, s) / 2.0)
 
 
 def enumerate_short_slopes(X: TorusPoint, L: float) -> list:

@@ -364,9 +364,12 @@ def test_calibrate_kappa_snaps_to_rational():
     # κ = 3/4 with small noise still snaps
     noisy = FakeOracle(0.75 * denom * 1.002, 0.01 * denom)
     assert calibrate_kappa(cut, [1], TABLE, noisy, L) == Fraction(3, 4)
-    # huge variance refuses to round
-    with pytest.raises(ValueError, match="variance too large"):
+    # 0.701 lies 1e-3 from 7/10, far beyond 3 stderr: it refuses to round
+    with pytest.raises(ValueError, match=r"lies 0\.001 from 7/10, .* 3 stderr = 6e-08"):
         calibrate_kappa(cut, [1], TABLE, FakeOracle(0.701 * denom, 1e-6), L)
+    # 0.01 is within 3 stderr of 0/1, which is not positive
+    with pytest.raises(ValueError, match="from 0, the nearest p/q"):
+        calibrate_kappa(cut, [1], TABLE, FakeOracle(0.01 * denom, 0.01 * denom), L)
 
 
 def test_frequency_report_as_dict():

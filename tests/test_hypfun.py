@@ -148,7 +148,8 @@ def test_thin_cuffs_basic():
     fn = FNPoint((0.05, 1.3, 2.0), (0.0, 0.0, 0.0))
     assert thin_cuffs(fn, 0.1) == {1}
     assert thin_cuffs(fn, 0.01) == set()
-    assert thin_cuffs((0.1, 0.5), 0.1) == {1}  # closed inequality at the edge
+    # closed inequality at the edge
+    assert thin_cuffs(FNPoint((0.1, 0.5), (0.0, 0.0)), 0.1) == {1}
 
 
 def test_fnpoint_validation():

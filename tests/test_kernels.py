@@ -1012,30 +1012,52 @@ def test_count_ball_matches_the_scalar_walk_on_a_seeded_sweep():
         _assert_ball_matches(*ball)
 
 
-@pytest.mark.parametrize(
-    "name, ws, ls, L",
-    [
-        # the boundary ties of the closed-forms benchmark (121 and 1080)
-        ("S12", (0.1, 0.1), (0.1, 0.1), 0.6),
-        ("S20", (0.3, 0.7, 2.0), (1.5, 1.3, 2.0), 7.0),
-        # a leaf whose budget rounds below zero
-        ("S12", (1.0, 0.4), (0.1, 0.75), 1.0 + 0.75 + 0.75),
-        # more m-vectors than one array pass holds, and t_1, t_2 expansions
-        # that take more than one
-        ("S11", (0.001,), (1.0,), 40.0),
-        ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 20.0),
-        # one budget whose twists alone fill more than one pass
-        ("S12", (1.0, 1.0), (1e-5, 1.0), 2.0),
-        # leaves near 2^58 whose pass sum is past int64
-        ("S11", (1.0,), (2.0**-45,), 4096.0),
-        # no points, and radii at or below zero
-        ("S11", (3.0,), (3.0,), 2.0),
-        ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 0.0),
-        ("S04", (1.0,), (1.0,), -1.0),
-    ],
-)
+# (surface, widths, lengths, radius)
+BALLS = [
+    # the boundary ties of the closed-forms benchmark (121 and 1080)
+    ("S12", (0.1, 0.1), (0.1, 0.1), 0.6),
+    ("S20", (0.3, 0.7, 2.0), (1.5, 1.3, 2.0), 7.0),
+    # a leaf whose budget rounds below zero
+    ("S12", (1.0, 0.4), (0.1, 0.75), 1.0 + 0.75 + 0.75),
+    # more m-vectors than one array pass holds, and t_1, t_2 expansions
+    # that take more than one
+    ("S11", (0.001,), (1.0,), 40.0),
+    ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 20.0),
+    # one budget whose twists alone fill more than one pass
+    ("S12", (1.0, 1.0), (1e-5, 1.0), 2.0),
+    # leaves near 2^58 whose pass sum is past int64
+    ("S11", (1.0,), (2.0**-45,), 4096.0),
+    # no points, and radii at or below zero
+    ("S11", (3.0,), (3.0,), 2.0),
+    ("S20", (0.75, 1.5, 2.5), (1.25, 0.5, 1.0), 0.0),
+    ("S04", (1.0,), (1.0,), -1.0),
+]
+
+
+@pytest.mark.parametrize("name, ws, ls, L", BALLS)
 def test_count_ball_matches_the_scalar_walk(name, ws, ls, L):
     _assert_ball_matches(name, ws, ls, L)
+
+
+def test_count_ball_matches_the_scalar_walk_across_small_passes(monkeypatch):
+    # With passes of 5 terms, batches of 5 prefixes end inside most balls,
+    # and so do the passes of m-vectors and of twists.  The one-budget ball
+    # of 2e5 twists would take 4e4 passes and is left out.
+    monkeypatch.setattr(_kernels, "_PASS_TERMS", 5)
+    balls = [ball for ball in BALLS if ball[2] != (1e-5, 1.0)]
+    balls += _sweep_balls(random.Random(20261018))[::2]
+    batches, ranges = set(), set()
+    for name, ws, ls, L in balls:
+        _assert_ball_matches(name, ws, ls, L)
+        if L > 0:
+            walk = list(_kernels._walk(ws, parity_masks(builtin_surface(name)[1]), L))
+            if len(walk) > 5:
+                batches.add(len(ws))
+            if max(len(ms) for _, _, ms in walk) > 10:
+                ranges.add(len(ws))
+    # more prefixes than one batch at N = 2 and 3, and m_N ranges over
+    # several passes at N = 1, 2 and 3
+    assert batches >= {2, 3} and ranges == {1, 2, 3}
 
 
 def test_count_ball_raises_where_int64_would_overflow():

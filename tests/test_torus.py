@@ -303,6 +303,16 @@ def test_deep_slope_trace_overflow_raises():
         slope_length(X, Slope(6765, 10946))
 
 
+def test_slope_trace_at_or_below_two_raises():
+    # far out, xy - z cancels: the trace of -1/1 reads 0.0 at (40, 40) and
+    # 2.0 at (36, 36), where it must exceed 2
+    for X in (TorusPoint(40.0, 40.0), TorusPoint(36.0, 36.0)):
+        with pytest.raises(ArithmeticError, match="-1/1"):
+            slope_trace(X, Slope(-1, 1))
+        with pytest.raises(ArithmeticError, match="at most 2"):
+            slope_length(X, Slope(-1, 1))
+
+
 def test_slope_lengths_at_symmetric_point():
     # three slopes realize the systole 2·acosh(3/2)
     sys_len = 2 * math.acosh(1.5)
