@@ -131,10 +131,15 @@ BACKEND = "pure"
 
 # Most prefixes count_ball reads from _walk in one batch, and most terms,
 # m-vectors or twists, one numpy pass of _chunks holds, so that memory does
-# not grow with the radius.  With unbounded passes the closed-forms
-# benchmark peaked at 58.5 MB against 50.6 MB for the scalar walk; at this
-# size it peaks at 51.5 MB, no slower.
-_PASS_TERMS = 1 << 15
+# not grow with the radius.  An int64 or float64 array of a pass is then
+# 32 KB, below the 128 KB from which glibc maps an allocation on its own and
+# unmaps it on free; at 2^15 terms every pass faulted its 256-KB arrays in
+# anew.  On 2 shared vCPUs (Python 3.11, numpy 2.4), one process per size,
+# the closed-forms benchmark's ball and count operations took a median
+# 9.9-10.1 ms a pass at 2^12 terms, 10.4-10.5 ms at 2^13 and 13.3 ms at
+# 2^15, and count_ball((1.0,), (1.0,), (0,), 1e7) took 153-160, 110-114
+# and 253 ms.  The benchmark peaks at 50.3 MB, against 50.5 MB at 2^15.
+_PASS_TERMS = 1 << 12
 # count_ball's budget: the m-vectors a ball may hold, bounded before the
 # walk by prod(floor(L / w_i) + 1).  A walk that size takes about 6 s on
 # 2 shared vCPUs (S11 at L = 1e7, 10^7 rows, took 0.61 s); the largest ball

@@ -107,6 +107,8 @@ def count_upper(surface: SurfaceType, fn: FNPoint, L: float, consts: Constants) 
 
 
 def bound_report(surface: SurfaceType, fn: FNPoint, consts: Constants) -> BoundReport:
+    # before b_comb: past the bound, collar_width's sinh may overflow
+    _check_bers(fn, consts.bers_bound)
     fv = f_value(fn, consts.epsilon)
     k = len(thin_cuffs(fn, consts.epsilon))
     return BoundReport(

@@ -21,8 +21,8 @@ on every ball, ties on the boundary included.  Both rest on one walk in
 the kernels: it visits the prefixes m_1..m_(N-1) and gives each the range
 of admissible m_N.  enumerate_ball steps through each range and lists the
 twists of every m-vector.  count_ball reads the prefixes in batches of at
-most 2^15, and one splitter expands their ranges, and each cuff's twists
-after them, into numpy passes of at most 2^15 terms, which keeps its memory
+most 2^12, and one splitter expands their ranges, and each cuff's twists
+after them, into numpy passes of at most 2^12 terms, which keeps its memory
 bounded at any radius.  It makes the same float operations as the
 enumeration, so the counts agree bit for bit.  A twist bound
 floor(b / l_i) too large for int64 arithmetic makes count_ball raise

@@ -211,7 +211,8 @@ def b_from_frequencies(
     and costs no frequency per weight vector.
 
     The tail uses the weight-scaling bound c(a.γ) <= c(1.γ)·prod 1/a_i²
-    together with sum_{a not in [1..cap]^k} prod 1/a_i² <= k·ζ(2)^(k-1)/cap.
+    together with sum_{a not in [1..cap]^k} prod 1/a_i² <= k·ζ(2)^(k-1)/cap,
+    where c(1.γ) = sum_e C_e is read from the same terms.
 
     Raises ArithmeticError, before anything is summed, where the types
     hold more than _WEIGHTS weight vectors cap^k in all.
@@ -230,14 +231,19 @@ def b_from_frequencies(
     for cut, kappa in types:
         if cut.surface != surface:
             raise ValueError("cut %r does not live on %s" % (cut, surface.name))
+        kappa = Fraction(kappa)
+        if kappa <= 0:
+            raise ValueError("kappa must be positive")
         k, dim = cut.k, cut.surface.dim
-        c_one = frequency(cut, [1] * k, kappa, table)
+        c_one = PiRat(0)
         for e, c in piece_volume_product(cut, table).terms.items():
             # zero unless the term's degree sum(2e_i + 2) is dim
             unit = simplex_monomial_integral([2 * v + 1 for v in e], [1] * k).coefficient((dim,))
             if unit:
+                term = unit * c * PiRat(kappa)  # C_e
+                c_one = c_one + term
                 h = math.prod(sum(Fraction(1, q ** (2 * v + 2)) for q in range(1, cap + 1)) for v in e)
-                partial = partial + unit * c * PiRat(Fraction(kappa) * h)
+                partial = partial + term * PiRat(h)
         tail += float(c_one) * k * zeta2f ** (k - 1) / cap
     return partial, tail
 

@@ -48,10 +48,7 @@ BERS_BOUNDS = {
 def collar_width(x: float) -> float:
     if x <= 0:
         raise ValueError("length must be positive, got %r" % (x,))
-    s = math.sinh(x / 2)
-    if s == math.inf:
-        return 0.0
-    return math.asinh(1.0 / s)
+    return math.asinh(1.0 / math.sinh(x / 2))
 
 
 def r_weight(x: float) -> float:

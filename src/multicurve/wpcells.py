@@ -19,15 +19,13 @@ point by point, and its points are built from the columns of bounded
 chunks.  mc_integrate checks each functional value as it is computed and
 stops at the first that is not finite.
 
-mc_result gives fsum's mean and variance of the values bit for bit, by one
-of two routes chosen by their number.  Below about a thousand it computes
-them as written.  Above, it reads one float64 array in blocks of 4,096,
-makes no Python float per value, and sums exactly by exponent.  It takes
-numpy's RN(d·d) for a square wherever the exact square lies within 0.45 of
-the float spacing below RN(d·d): any pow with error under 0.55 ulp returns
-that float there, glibc's too, which ** calls (on glibc 2.36, wherever pow
-differed from RN(d·d) the exact square lay at least 0.4933 of a spacing
-away).  The other tenth of the squares come from ** itself.
+mc_result gives the mean math.fsum(values)/n and the variance
+math.fsum(d·d)/(n - 1), d = v - mean and d·d one correctly rounded IEEE
+product, by one of two routes chosen by n.  Below about a thousand it
+computes them as written.  Above, it reads one float64 array in blocks of
+4,096, makes no Python float per value, and sums exactly by exponent.  Both
+routes give the same bits, and on every IEEE platform: no C library
+function enters the result.
 
 numpy is imported by the functions that draw or read arrays, not with the
 module: importing it takes about 0.11 s, more than the 0.09 s in which a
@@ -80,9 +78,10 @@ class MCResult:
 
 # Below _SHORT values mc_result sums Python floats as its definition reads;
 # from _SHORT on it works in float64 blocks of _BLOCK values.  On 2 shared
-# vCPUs (Python 3.11, numpy 2.4), 512 values took 0.08 ms as written and
-# 0.16 ms in blocks, 1,024 about 0.18 ms either way, and 2,048 0.40 against
-# 0.21 ms.  Blocks of 8,192 ran no faster and raised the peak memory of
+# vCPUs (Python 3.11, numpy 2.4), 512 values took 0.05 ms as written and
+# 0.07 ms in blocks, 1,024 0.10 against 0.08 ms, and 2,048 0.22 against
+# 0.09 ms: the two cross near 700 values, so the route taken there costs at
+# most 0.03 ms more than the other.  Blocks of 8,192 ran no faster and raised the peak memory of
 # mc_moduli's 40,000-value summaries from 2.7 to 3.3 MB.
 _SHORT = 1024
 _BLOCK = 1 << 12
@@ -90,22 +89,14 @@ _BLOCK = 1 << 12
 # partial sum is an integer under 2^53, which float64 adds exactly.
 _BUCKET_TERMS = 1 << 26
 _BUCKETS = 2098  # frexp exponents -1073..1024
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-# Dekker's product is exact for |d| in [2^-400, 2^500]: no square or error
-# term there underflows or overflows.
-_TINY, _HUGE = 2.0**-400, 2.0**500
-# RN(d·d) stands for d ** 2 where the exact square lies within this share
-# of the float spacing below RN(d·d).
-_NEAR = 0.45
-_EXPONENT = 0x7FF0 << 48  # the exponent bits of a float64
 
 
 def _exact_sum(blocks, count: int):
     """The sum of float64 blocks of count values in all, rounded once, so
-    exactly math.fsum's; None where math.fsum itself must decide: a block
-    that is None, a value that is not finite, an exact zero (whose sign is
-    fsum's choice), count · max|v| at or past 2^1023, near where fsum
-    raises on an intermediate overflow, or _BUCKET_TERMS values or more.
+    exactly math.fsum's; None where math.fsum itself must decide: a value
+    that is not finite, an exact zero (whose sign is fsum's choice),
+    count · max|v| at or past 2^1023, near where fsum raises on an
+    intermediate overflow, or _BUCKET_TERMS values or more.
 
     Each value is m · 2^e with 1/2 <= |m| < 1, both read exactly by frexp,
     and 2^27 · m splits exactly into an integer head h = floor(2^27 · m),
@@ -119,8 +110,6 @@ def _exact_sum(blocks, count: int):
         return None
     heads, fracs = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
     for block in blocks:
-        if block is None:
-            return None
         with np.errstate(invalid="ignore"):
             mant, expo = np.frexp(block)
             mant *= 2.0**27
@@ -143,44 +132,16 @@ def _exact_sum(blocks, count: int):
 
 
 def _squares(values, mean: float):
-    """Blocks of the squared deviations (v - mean) ** 2 of a float64 array,
-    each the float Python's ** gives (_square).  A block with a deviation
-    past _HUGE, or one that is not finite, is None: the caller then squares
-    every deviation with ** in order, so that an overflow raises where and
-    as it always did."""
+    """Blocks of the squared deviations d·d, d = v - mean, of a float64
+    array: numpy's * rounds each product once, as Python's does.  A square
+    past the float range is inf, and a deviation that is not finite gives
+    inf or NaN, with no warning."""
     import numpy as np
 
     for lo in range(0, len(values), _BLOCK):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             d = values[lo : lo + _BLOCK] - mean
-        if not np.abs(d).max() <= _HUGE:  # NaN fails the test too
-            yield None
-            return
-        yield _square(d)
-
-
-def _square(d):
-    """d ** 2 for a block of deviations |d| <= _HUGE.  Dekker's product (a
-    Veltkamp split) gives RN(d·d) and its exact error; where the exact
-    square lies within _NEAR of the float spacing below RN(d·d), RN(d·d)
-    is kept, and every other deviation, and every |d| under _TINY, is
-    squared by **."""
-    import numpy as np
-
-    square = d * d
-    split = d * _SPLIT
-    head = split - (split - d)
-    tail = d - head
-    error = ((head * head - square) + 2.0 * (head * tail)) + tail * tail
-    # the spacing below RN(d·d) is 2^-52 times its leading power of two, or
-    # half that at a power of two; but RN(d·d) is a power of two only where
-    # d is one, and then error is 0
-    unit = (square.view(np.int64) & _EXPONENT).view(float)
-    near = np.abs(error) <= unit * (_NEAR * 2.0**-52)
-    slow = np.flatnonzero(~near | (np.abs(d) < _TINY))
-    if len(slow):
-        square[slow] = [x**2 for x in d[slow].tolist()]
-    return square
+            yield d * d
 
 
 def mc_result(values, volume: float, seed: int) -> MCResult:
@@ -188,26 +149,20 @@ def mc_result(values, volume: float, seed: int) -> MCResult:
     volume: estimate = volume × sample mean, stderr = volume × std/√count.
 
     The mean is math.fsum(values) / count and the variance is
-    math.fsum((v - mean) ** 2 for v in values) / (count - 1), bit for bit
-    and raised error for raised error.  Below _SHORT values they are
+    math.fsum((v - mean) * (v - mean) for v in values) / (count - 1), bit
+    for bit and raised error for raised error.  Below _SHORT values they are
     computed so.  From _SHORT on, the values are read as one float64 array
     in blocks, and both sums are exact (_exact_sum), rounded once as fsum
-    rounds.  A square there is numpy's RN(d·d) wherever the exact square
-    lies within 0.45 of the float spacing below RN(d·d) (_square): every
-    other float is then more than 0.55 of a spacing away, so any pow with
-    error below 0.55 ulp returns RN(d·d) to **.  glibc's pow, which **
-    calls, is documented at a little over half an ulp since glibc 2.28.  On
-    glibc 2.36 it differed from RN(d·d) on 5,045 of 6,000,000 seeded
-    deviations, each time with the exact square at least 0.4933 of the
-    spacing from RN(d·d).  The other squares, about one in ten, come from
-    ** itself.
+    rounds.  A variance of +inf, where a square or the sum of the squares
+    leaves the float range, raises OverflowError on both routes; fsum's own
+    "intermediate overflow" propagates as it is.
     """
     count = len(values)
     if count < _SHORT:
         if hasattr(values, "tolist"):
             values = values.tolist()
         mean = math.fsum(values) / count
-        var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+        var = math.fsum((v - mean) * (v - mean) for v in values) / (count - 1)
     else:
         import numpy as np
 
@@ -219,8 +174,10 @@ def mc_result(values, volume: float, seed: int) -> MCResult:
         mean = total / count
         squares = _exact_sum(_squares(values, mean), count)
         if squares is None:
-            squares = math.fsum((v - mean) ** 2 for v in chunked_tolist(values))
+            squares = math.fsum((v - mean) * (v - mean) for v in chunked_tolist(values))
         var = squares / (count - 1)
+    if var == math.inf:
+        raise OverflowError("squared deviations overflow the float range")
     return MCResult(
         estimate=volume * mean,
         stderr=volume * math.sqrt(var / count),

@@ -377,6 +377,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
          "cuff lengths must be strictly positive and finite"),
         (["bounds", "eval", "--lengths", "3.0"],
          "cuff 1 has length 3 > bers bound 1.92485; pass a systole-adapted decomposition"),
+        # past x = 1420 collar_width's sinh overflows: the bound is read first
+        (["bounds", "eval", "--surface", "S11", "--lengths", "1500"],
+         "cuff 1 has length 1500 > bers bound 1.92485; pass a systole-adapted decomposition"),
         (["cells", "integrate", "--floor", "0.5", "--samples", "10"],
          "thin_floor must lie in [0, eps)"),
         (["cells", "integrate", "--k", "1", "--functional", "Fp:0.5", "--samples", "10"],

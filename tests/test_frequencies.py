@@ -289,8 +289,8 @@ def test_b_from_frequencies_factors_unequal_powers():
 
 
 def test_b_from_frequencies_refuses_a_nonpositive_kappa_before_summing():
-    # c(1.γ) is taken before the sum, so the error comes at once even at
-    # the largest cap the budget admits
+    # κ is checked before the sum, so the error comes at once even at the
+    # largest cap the budget admits
     from multicurve.frequencies import _WEIGHTS
 
     s11 = cut_nonseparating_s11()

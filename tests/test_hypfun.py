@@ -42,6 +42,13 @@ def test_collar_width_monotone():
     assert collar_width(1.0) > collar_width(2.0)
 
 
+def test_collar_width_at_the_ends_of_its_range():
+    # an infinite cuff has no collar; past x = 1420 sinh(x/2) overflows
+    assert collar_width(math.inf) == 0.0
+    with pytest.raises(OverflowError):
+        collar_width(1500.0)
+
+
 @given(st.floats(min_value=1e-8, max_value=50.0))
 def test_collar_width_defining_identity(x):
     # sinh(w(x))·sinh(x/2) = 1

@@ -1090,7 +1090,7 @@ def test_count_ball_raises_above_its_budget_before_walking():
 
 
 def test_count_ball_memory_does_not_grow_with_the_ball():
-    # 2.2e8 points: each array pass holds at most 2^15 terms
+    # 2.2e8 points: each array pass holds at most _PASS_TERMS terms
     tracemalloc.start()
     try:
         count = _kernels.count_ball((0.75, 1.5, 2.5), (1.25, 0.5, 1.0), (7, 7), 64.0)

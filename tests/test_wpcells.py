@@ -1,7 +1,6 @@
 """Chart cells, exact cell integrals, and the Monte Carlo integrators."""
 
 import math
-import platform
 import tracemalloc
 import warnings
 
@@ -251,7 +250,9 @@ def test_sample_cell_distributions():
 def ref_mc_result(values, volume, seed):
     count = len(values)
     mean = math.fsum(values) / count
-    var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+    var = math.fsum(d * d for d in [v - mean for v in values]) / (count - 1)
+    if var == math.inf:
+        raise OverflowError("squared deviations overflow the float range")
     return MCResult(volume * mean, volume * math.sqrt(var / count), count, seed)
 
 
@@ -379,8 +380,8 @@ def test_mc_integrate_stops_at_the_first_non_finite_value():
 
 
 def test_mc_result_squares_as_python_does():
-    # on glibc, numpy's d * d moves the last bit of each stderr here: its one
-    # rounded product differs from pow(d, 2.0), which ** calls, on a square
+    # values whose squared deviations lie near a tie of two floats, where a
+    # C library's pow(d, 2.0) may round apart from the one rounded d * d
     for hexes in (("0x1.661d4e3a6c052p-1", "0x1.77c6ed1ec376ep-2", "0x1.9d08124d482a4p-1"),
                   ("0x1.28eae7d171498p-1", "0x1.9dab00285cb30p-2", "0x1.dbf5903a11424p-1"),
                   ("0x1.de58c22453dacp-1", "0x1.96cc8b96f229cp-3", "0x1.4ab22f3a75baep-2")):
@@ -391,8 +392,8 @@ def test_mc_result_squares_as_python_does():
 
 
 def test_mc_result_raises_where_a_square_overflows(capfd):
-    # a square past the float range raises Python's OverflowError, and an
-    # infinite or NaN deviation passes silently, as in Python; on the block
+    # a square past the float range reads inf, and an infinite variance
+    # raises OverflowError, while a NaN one passes silently; on the block
     # route too, where fsum's own OverflowError comes first if the squares
     # before that one already overflow their sum
     n = wpcells._SHORT + 5
@@ -469,9 +470,9 @@ def test_from_draws_points_equal_constructed_points():
 
 # --- mc_result's block route ---------------------------------------------
 #
-# From wpcells._SHORT values on, mc_result sums exactly in float64 blocks and
-# takes RN(d·d) for a square where that is proven equal to **; every result
-# must still be ref_mc_result's, raised errors included.
+# From wpcells._SHORT values on, mc_result squares deviations as numpy's d * d
+# and sums exactly in float64 blocks; every result must still be
+# ref_mc_result's, raised errors included.
 
 
 def block_sum(values):
@@ -549,8 +550,8 @@ def test_block_sum_defers_to_fsum(case, values):
 
 
 # The first four standard-normal deviations of default_rng(20260814) whose
-# glibc square d ** 2 is not numpy's RN(d·d): the exact square lies about
-# half a float spacing from RN(d·d), where the two may round apart.
+# glibc square d ** 2 is not the one rounded product d * d: the exact square
+# lies about half a float spacing from d * d, where the two may round apart.
 POW_IS_NOT_RN = ("0x1.e07f0d176e24fp-2", "-0x1.c6c4f31692515p-5",
                  "-0x1.9d9a7e0a2093bp+0", "-0x1.f1e153508b76cp-1")
 
@@ -568,36 +569,38 @@ def block_squares(values):
     return [v.hex() for v in np.concatenate(list(wpcells._squares(values, 0.0)))]
 
 
-def test_squares_are_pow_where_rn_is_not():
+def python_squares(values):
+    return [(d * d).hex() for d in values.tolist()]
+
+
+def test_squares_are_python_products_near_ties():
     deviations = [float.fromhex(h) for h in POW_IS_NOT_RN]
-    if platform.libc_ver()[0] == "glibc":
-        assert all(d**2 != d * d for d in deviations)
     values = padded(deviations, 2 * wpcells._BLOCK + 5)
-    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+    assert block_squares(values) == python_squares(values)
     assert result_bits(mc_result(values, 1.0, SEED)) == result_bits(ref_mc_result(values.tolist(), 1.0, SEED))
     # and over seeded deviations of every size in [2^-400, 2^500]
     rng = np.random.default_rng(SEED)
     values = rng.standard_normal(3 * wpcells._BLOCK) * 2.0 ** rng.integers(-399, 499, 3 * wpcells._BLOCK)
-    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+    assert block_squares(values) == python_squares(values)
 
 
-# Deviations near 2^-511, below the exact product's range, where glibc's
-# d ** 2 is not RN(d·d) and Dekker's error term, its tail² underflowing,
-# would put the exact square within 0.45 of the spacing of RN(d·d).
+# Deviations near 2^-511, whose squares lie near 2^-1022, the bottom of the
+# normal range, where glibc's d ** 2 is not d * d.
 UNDERFLOWING_ERRORS = ("-0x1.a01fd923085f0p-511", "-0x1.a11d11dcfea89p-510",
                        "-0x1.e9b4936431744p-512", "0x1.206efdd07e66dp-511")
 
 
-def test_squares_below_the_exact_range_are_pow():
+def test_squares_are_python_products_near_the_normal_floor():
     deviations = [float.fromhex(h) for h in UNDERFLOWING_ERRORS]
-    if platform.libc_ver()[0] == "glibc":
-        assert all(d**2 != d * d for d in deviations)
     values = padded(deviations, wpcells._BLOCK + 9)
-    assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+    assert block_squares(values) == python_squares(values)
+    assert outcome(mc_result, values) == outcome(ref_mc_result, values.tolist())
 
 
 @pytest.mark.parametrize("start, toward", [
-    (2.0**-400, math.inf), (2.0**500, 0.0),  # the range's own edges, inward
+    # 2^-400 and 2^500, inward and outward: past them the error term of an
+    # exact square d·d = RN(d·d) + error under- or overflows
+    (2.0**-400, math.inf), (2.0**500, 0.0),
     (math.nextafter(2.0**-400, 0.0), 0.0), (math.nextafter(2.0**500, math.inf), math.inf),
     (5e-324, math.inf), (1.3e154, math.inf),  # subnormal; squares near 2^1023
 ])
@@ -609,5 +612,15 @@ def test_squares_at_the_edges_of_the_exact_product(start, toward):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(mc_result, values) == outcome(ref_mc_result, values.tolist())
-        if start <= 2.0**500:
-            assert block_squares(values) == [(v**2).hex() for v in values.tolist()]
+        assert block_squares(values) == python_squares(values)
+
+
+def test_mc_result_routes_agree(monkeypatch):
+    # the same values, all on the short route and all on the block route
+    rng = np.random.default_rng(SEED)
+    values = rng.choice([-1.0, 1.0], 1500) * rng.pareto(1.5, 1500)
+    bits = []
+    for short in (1, 10**9):
+        monkeypatch.setattr(wpcells, "_SHORT", short)
+        bits.append(result_bits(mc_result(values, 0.7, SEED)))
+    assert bits[0] == bits[1] == result_bits(ref_mc_result(values.tolist(), 0.7, SEED))
