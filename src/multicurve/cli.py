@@ -139,6 +139,8 @@ def cmd_dt_enumerate(cfg: RunConfig, args) -> int:
 
 
 def cmd_measure_ball(cfg: RunConfig, args) -> int:
+    import statistics
+
     from . import thurston
     from .topology import builtin_surface
 
@@ -152,18 +154,12 @@ def cmd_measure_ball(cfg: RunConfig, args) -> int:
     for L in radii:
         est = thurston.lattice_ball_estimate(dec, wts, L)
         ladder.append((L, est, abs(est - closed) / closed))
-    # least-squares slope of log(rel err) against log L: the convergence rate
-    pts = [(math.log(L), math.log(err)) for L, est, err in ladder if err > 0]
+    # least-squares slope of log(rel err) against log L: the convergence rate,
+    # null unless two distinct radii have a nonzero error
+    logs = [(math.log(L), math.log(err)) for L, est, err in ladder if err > 0]
     rate = None
-    if len(pts) >= 2:
-        n = len(pts)
-        sx = math.fsum(x for x, _ in pts)
-        sy = math.fsum(y for _, y in pts)
-        sxx = math.fsum(x * x for x, _ in pts)
-        sxy = math.fsum(x * y for x, y in pts)
-        denom = n * sxx - sx * sx
-        if denom > 0:
-            rate = (n * sxy - sx * sy) / denom
+    if len({x for x, _ in logs}) >= 2:
+        rate = statistics.linear_regression(*zip(*logs)).slope
     doc = {
         "surface": args.surface,
         "weights": {"width": wts.width, "length": wts.length},
@@ -316,11 +312,8 @@ def cmd_freq_compute(cfg: RunConfig, args) -> int:
         raise ConfigError("--weights needs %d positive integers" % cut.k)
     poly = frequencies.count_polynomial(cut, wts, kappa, table)
     c = poly.coefficient((cut.surface.dim,))
-    report = frequencies.FrequencyReport(
-        p_poly=poly, c_exact=c, c_float=float(c), kappa=Fraction(kappa)
-    )
-    _emit({"surface": args.surface, "weights": wts, "frequency": report.as_dict()},
-          cfg, args.out)
+    freq = {"P": str(poly), "c": str(c), "c_float": float(c), "kappa": str(kappa)}
+    _emit({"surface": args.surface, "weights": wts, "frequency": freq}, cfg, args.out)
     return 0
 
 
@@ -384,13 +377,13 @@ def cmd_freq_joint(cfg: RunConfig, args) -> int:
     a = _parse_rational(args.a, "--a")
     if a <= 0:
         raise ConfigError("--a must be positive, got %s" % args.a)
+    if args.cap < 1:
+        raise ConfigError("--cap must be at least 1")
     a = frequencies.PiRat(a)
     b = frequencies.b_closed_form_s11(kappa)
     c1 = frequencies.frequency(cut, [args.q1], kappa, table)
     c2 = frequencies.frequency(cut, [args.q2], kappa, table)
     c12 = frequencies.joint_frequency(c1, c2, a, b)
-    if args.cap < 1:
-        raise ConfigError("--cap must be at least 1")
     # partial double sum of the identity  sum c(q1 g, q2 g) = a over
     # q1, q2 <= cap: joint_frequency is bilinear in its marginals, so the
     # sum is joint_frequency(S, S, a, b) with S the sum of the singles,

@@ -283,21 +283,3 @@ def calibrate_kappa(cut: CutData, a, table: VolumeTable, result, L: float):
         "against 3 stderr = %.2g; it must lie within that of a positive p/q"
         % (khat, gap, rounded, 3 * err)
     )
-
-
-@dataclass
-class FrequencyReport:
-    """Bundle of the exact objects the CLI prints."""
-
-    p_poly: PiPoly
-    c_exact: PiRat
-    c_float: float
-    kappa: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "P": str(self.p_poly),
-            "c": str(self.c_exact),
-            "c_float": self.c_float,
-            "kappa": str(self.kappa),
-        }

@@ -33,6 +33,9 @@ _THIN_STREAM = 0x7819  # Philox stream for the deliberate thin samples
 # sizes two checks share
 CELL_SAMPLES = 100000  # MC draws per Weil-Petersson cell
 MODULI_SAMPLES = 8000  # draws for mc_moduli of 1, Bhat, count_s
+# radius of the hatted κ and b moduli integrals, which Mirzakhani's
+# integration formula makes exact at every radius (see check_moduli_chain)
+IDENTITY_RADIUS = 10.0
 
 
 @dataclass(frozen=True)
@@ -216,15 +219,22 @@ def check_sandwich(cfg: RunConfig):
 
 @_check("counting-asymptotics")
 def check_counting_asymptotics(cfg: RunConfig):
-    """count_s(X,1,L)/L² ~ c(γ)/b · B(X) with hatted inputs."""
+    """count_s(X,1,L)/L² ~ c(γ)/b · B(X) with hatted inputs.
+
+    The hatted b and κ are read at IDENTITY_RADIUS: by Mirzakhani's
+    integration formula the moduli integrals of count_b(X, L)/L² and of
+    count_s(X, 1, L)/(L²/2) are b and κ at every L > 0.  The per-point
+    ratio is a limit as L -> ∞ and keeps its large radius, with B(X) read
+    at torus.BHAT_LMAX."""
     t0 = time.monotonic()
     L = 80.0  # counting radius of the per-point ratio
     lmax = torus.BHAT_LMAX
+    Lid = IDENTITY_RADIUS
     n = MODULI_SAMPLES
     points = 10
-    bhat = torus.mc_moduli(lambda X: torus.count_b(X, lmax) / lmax**2, n, cfg.seed + 1).estimate
-    integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, L), n, cfg.seed + 2).estimate
-    khat = integral / (L * L / 2.0)
+    bhat = torus.mc_moduli(lambda X: torus.count_b(X, Lid) / Lid**2, n, cfg.seed + 1).estimate
+    integral = torus.mc_moduli(lambda X: torus.count_s(X, 1, Lid), n, cfg.seed + 2).estimate
+    khat = integral / (Lid * Lid / 2.0)
     chat = khat / 2.0
     ells, taus = torus.sample_bers_box(points, cfg.seed + 3)
     worst = 0.0
@@ -356,7 +366,7 @@ def check_moduli_chain(cfg: RunConfig):
     parts.append("vol dev %s sigma" % _fmt(vol_dev))
 
     # (ii) kappa stability and the b integral, exact at every radius
-    L = 10.0
+    L = IDENTITY_RADIUS
     counts = [
         torus.mc_moduli(lambda X: torus.count_s(X, 1, LL), n, cfg.seed + 6)
         for LL in (L, 2 * L)

@@ -77,6 +77,14 @@ def test_measure_ball(capsys, tmp_path):
     )
 
 
+def test_measure_ball_fits_no_rate_below_two_distinct_radii(capsys):
+    # one radius, or one radius twice, leaves the slope undetermined
+    for lengths in ("20", "20,20"):
+        doc = run_json(capsys, ["measure", "ball", "--lengths", lengths])
+        assert all(step["rel_error"] > 0 for step in doc["ladder"])
+        assert doc["fitted_rate"] is None
+
+
 def test_bounds_eval(capsys):
     doc = run_json(
         capsys, ["bounds", "eval", "--surface", "S11", "--lengths", "0.1"]
@@ -138,6 +146,7 @@ def test_freq_compute(capsys):
     assert doc["frequency"]["P"] == "1/8*x0^2"
     assert doc["frequency"]["c"] == "1/8"
     assert doc["frequency"]["c_float"] == 0.125
+    assert doc["frequency"]["kappa"] == "1"
     assert doc["weights"] == [2]
 
 
@@ -159,6 +168,15 @@ def test_freq_joint(capsys):
     assert doc["identity_partial_float"] <= doc["identity_target_float"]
     assert doc["identity_target_float"] == 0.45
     assert doc["b"] == "1/12*pi^2"
+
+
+def test_freq_joint_checks_its_cap_before_any_frequency(capsys, monkeypatch):
+    def no_frequency(*args):
+        raise AssertionError("frequency computed before --cap was checked")
+
+    monkeypatch.setattr(frequencies, "frequency", no_frequency)
+    assert cli.main(["freq", "joint", "--cap", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --cap must be at least 1\n")
 
 
 def test_freq_joint_identity_partial_is_the_double_sum(capsys):

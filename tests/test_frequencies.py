@@ -14,7 +14,6 @@ from multicurve.frequencies import (
     BUILTIN_CUTS,
     ZETA2,
     CutData,
-    FrequencyReport,
     b_closed_form_s11,
     b_from_frequencies,
     calibrate_kappa,
@@ -371,10 +370,3 @@ def test_calibrate_kappa_snaps_to_rational():
     with pytest.raises(ValueError, match="from 0, the nearest p/q"):
         calibrate_kappa(cut, [1], TABLE, FakeOracle(0.01 * denom, 0.01 * denom), L)
 
-
-def test_frequency_report_as_dict():
-    cut = cut_nonseparating_s11()
-    p = count_polynomial(cut, [1], 1, TABLE)
-    c = frequency(cut, [1], 1, TABLE)
-    rep = FrequencyReport(p_poly=p, c_exact=c, c_float=float(c), kappa=Fraction(1))
-    assert rep.as_dict() == {"P": "1/2*x0^2", "c": "1/2", "c_float": 0.5, "kappa": "1"}

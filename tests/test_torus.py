@@ -224,12 +224,28 @@ def test_spectrum_restores_the_collector_under_a_thread_pool():
         (gc.enable if was else gc.disable)()
 
 
-def test_fricke_triple_validation():
-    FrickeTriple(3.0, 3.0, 3.0)
-    with pytest.raises(ValueError, match="must lie in"):
-        FrickeTriple(2.0, 3.0, 3.0)
-    with pytest.raises(ValueError, match="cusp identity"):
-        FrickeTriple(3.0, 3.0, 4.0)
+def test_fn_to_triple_checks_its_traces_across_the_moduli_space():
+    # fn_to_triple is the one check on the traces: over a grid from
+    # ell = 1e-8 to 710 and tau out to -1450 and 1449, each point raises
+    # ArithmeticError or gives traces in (2, inf) satisfying the cusp
+    # identity wherever both of its sides are finite
+    ells = [10.0 ** (e / 4) for e in range(-32, 12)] + [700.0, 710.0]
+    taus = [float(t) for t in range(-1450, 1450, 10)] + [-1420.5, -1419.5, 1419.5, 1420.5]
+    raised = kept = 0
+    for ell in ells:
+        for tau in taus:
+            try:
+                tr = fn_to_triple(TorusPoint(ell, tau))
+            except ArithmeticError:
+                raised += 1
+                continue
+            kept += 1
+            assert type(tr) is FrickeTriple
+            assert all(2.0 < t < math.inf for t in tr), (ell, tau, tr)
+            lhs, rhs = tr.x * tr.x + tr.y * tr.y + tr.z * tr.z, tr.x * tr.y * tr.z
+            if math.isfinite(lhs) and math.isfinite(rhs):
+                assert lhs == pytest.approx(rhs, rel=1e-12), (ell, tau)
+    assert raised and kept
 
 
 def test_fn_to_triple_frozen():
@@ -252,7 +268,7 @@ def test_cusp_identity_on_random_points():
     for _ in range(200):
         ell = rng.uniform(0.05, 6.0)
         X = TorusPoint(ell, rng.uniform(-2 * ell, 2 * ell))
-        tr = fn_to_triple(X)  # constructor re-checks the identity
+        tr = fn_to_triple(X)
         lhs = tr.x**2 + tr.y**2 + tr.z**2
         assert lhs == pytest.approx(tr.x * tr.y * tr.z, rel=1e-12)
 
